@@ -10,6 +10,7 @@ coherence interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +24,6 @@ __all__ = [
     "DrisProfile",
     "PathLoss",
     "LinkFading",
-    "ChannelRealization",
     "Scenario",
     "LOS_3GPP",
     "NLOS_3GPP",
@@ -33,8 +33,6 @@ __all__ = [
     "los_steering",
     "sample_rician_g",
     "sample_dris_coeffs",
-    "cascaded_h",
-    "sample_realization",
     "cascaded_mc",
     "gen_willie_statistics",
     "gen_bob_signals",
@@ -101,6 +99,13 @@ class Geometry:
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
+    @functools.cached_property
+    def steering(self) -> np.ndarray:
+        """:func:`los_steering` of this geometry, computed once and read-only."""
+        vec = los_steering(self)
+        vec.flags.writeable = False
+        return vec
+
 
 @dataclass(frozen=True)
 class DrisProfile:
@@ -121,6 +126,8 @@ class DrisProfile:
             raise ValueError("phases, amplitudes, and probabilities must have equal length")
         if k == 0 or (k & (k - 1)) != 0:
             raise ValueError(f"profile size must be a power of two (b-bit quantization), got {k}")
+        if any(p < 0 for p in self.probabilities):
+            raise ValueError("probabilities must be non-negative")
         if abs(sum(self.probabilities) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         if any(a < 0 or a > 1 for a in self.amplitudes):
@@ -156,22 +163,6 @@ class LinkFading:
             raise ValueError("Rician factor must be non-negative")
         if self.noise_w <= 0 or self.noise_b <= 0:
             raise ValueError("noise powers must be positive")
-
-
-@dataclass
-class ChannelRealization:
-    """One coherence interval's channel state (large-scale factors are linear)."""
-
-    h_d_w: complex
-    h_d_b: complex
-    g_hat: np.ndarray
-    h_i_w: np.ndarray
-    h_i_b: np.ndarray
-    loss_g: float
-    loss_i_w: float
-    loss_i_b: float
-    loss_d_w: float
-    loss_d_b: float
 
 
 @dataclass(frozen=True)
@@ -237,7 +228,7 @@ def sample_rician_g(gen: np.random.Generator, geometry: Geometry, kappa: float,
     """
     if kappa < 0:
         raise ValueError("Rician factor must be non-negative")
-    los = los_steering(geometry)
+    los = geometry.steering
     shape = (geometry.n_elements,) if size is None else (size, geometry.n_elements)
     nlos = sample_cgauss(gen, 0.0, 1.0, size=shape)
     return math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(1 / (1 + kappa)) * nlos
@@ -250,51 +241,62 @@ def sample_dris_coeffs(gen: np.random.Generator, profile: DrisProfile, n: int,
     ``size`` prepends extra axes (e.g. ``(intervals, symbols)``) for one
     fresh draw per symbol time.
     """
-    table = profile.coeff_table()
-    cum = np.cumsum(profile.probabilities)
     shape = (n,) if size is None else tuple(np.atleast_1d(size)) + (n,)
+    return profile.coeff_table()[_phase_indices(gen, profile, shape)]
+
+
+def _phase_indices(gen: np.random.Generator, profile: DrisProfile, shape) -> np.ndarray:
+    """Independent phase indices with ``shape``, distributed as the profile.
+
+    Two equally likely phases (the default profile) take one random bit
+    per element; other profiles invert the CDF of a uniform draw.
+    """
+    if tuple(profile.probabilities) == (0.5, 0.5):
+        n = math.prod(shape)
+        raw = gen.integers(0, 256, size=-(-n // 8), dtype=np.uint8)
+        return np.unpackbits(raw, count=n).reshape(shape)
+    cum = np.cumsum(profile.probabilities)
     idx = np.searchsorted(cum, gen.random(shape), side="right")
-    idx = np.minimum(idx, len(table) - 1)  # guard u == 1.0 edge
-    return table[idx]
+    return np.minimum(idx, len(cum) - 1)  # guard u == 1.0 edge
 
 
-def cascaded_h(realization: ChannelRealization, coeffs: np.ndarray, target: str):
-    """Scalar cascaded channel sum_r g_r * coeff_r * h_r / sqrt(L_g * L_I)."""
-    if target == "willie":
-        h_i, loss_i = realization.h_i_w, realization.loss_i_w
-    elif target == "bob":
-        h_i, loss_i = realization.h_i_b, realization.loss_i_b
-    else:
-        raise ValueError(f"target must be 'willie' or 'bob', got {target!r}")
-    if coeffs.shape[-1] != realization.g_hat.shape[-1]:
-        raise ValueError("coefficient vector length does not match the element count")
-    scale = math.sqrt(realization.loss_g * loss_i)
-    return np.sum(realization.g_hat * coeffs * h_i, axis=-1) / scale
+def _contract(a: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k a[i, k] * table[idx[i, m, k]] for every interval i and symbol m.
+
+    Computed as t_0 sum_k a_k + sum_{j>=1} (t_j - t_0) (1[idx = j] . a):
+    each term is a real batched matmul of the indicator against ``a``
+    viewed as (..., N_D, 2) float64, so no complex coefficient array is
+    ever formed.
+    """
+    a_ri = a.view(np.float64).reshape(*a.shape, 2)
+    out = np.empty(idx.shape[:2], dtype=complex)
+    out[:] = table[0] * a.sum(axis=-1, keepdims=True)
+    for j in range(1, len(table)):
+        # with two phases the index is itself the indicator of phase 1
+        ind = idx if len(table) == 2 else idx == j
+        out += (table[j] - table[0]) * np.matmul(ind, a_ri).view(complex)[..., 0]
+    return out
 
 
-def sample_realization(gen: np.random.Generator, geometry: Geometry, fading: LinkFading,
-                       bob_position=None) -> ChannelRealization:
-    """Draw one coherence interval's small-scale channels and large-scale factors."""
-    if bob_position is None:
-        bob_position = sample_bob_position(gen, geometry)
-    n = geometry.n_elements
-    d_ad = geometry.distance(geometry.alice, geometry.dris_center)
-    d_dw = geometry.distance(geometry.dris_center, geometry.willie)
-    d_db = geometry.distance(geometry.dris_center, bob_position)
-    d_aw = geometry.distance(geometry.alice, geometry.willie)
-    d_ab = geometry.distance(geometry.alice, bob_position)
-    loss_g = path_loss_linear(fading.alice_dris, d_ad)
-    loss_i_w = path_loss_linear(fading.dris_willie, d_dw)
-    loss_i_b = path_loss_linear(fading.dris_bob, d_db)
-    loss_d_w = path_loss_linear(fading.alice_willie, d_aw)
-    loss_d_b = path_loss_linear(fading.alice_bob, d_ab)
-    h_d_w = sample_cgauss(gen, 0.0, 1.0) / math.sqrt(loss_d_w)
-    h_d_b = sample_cgauss(gen, 0.0, 1.0) / math.sqrt(loss_d_b)
-    g_hat = sample_rician_g(gen, geometry, fading.rician_g) if n else np.zeros(0, complex)
-    h_i_w = sample_cgauss(gen, 0.0, 1.0, size=(n,)) if n else np.zeros(0, complex)
-    h_i_b = sample_cgauss(gen, 0.0, 1.0, size=(n,)) if n else np.zeros(0, complex)
-    return ChannelRealization(h_d_w, h_d_b, g_hat, h_i_w, h_i_b,
-                              loss_g, loss_i_w, loss_i_b, loss_d_w, loss_d_b)
+def _cascade(gen: np.random.Generator, geometry: Geometry, fading: LinkFading,
+             profile: DrisProfile, loss_i, n_intervals: int, n_symbols: int) -> np.ndarray:
+    """Cascaded surface channel sum_k a_k c_k(m), shape (n_intervals, n_symbols).
+
+    Per interval it draws g (Rician) and h_I and forms
+    a = g * h_I / sqrt(L_g L_I), with ``loss_i`` a scalar or one value per
+    interval; per symbol it draws fresh coefficients c_k(m).
+    """
+    nd = geometry.n_elements
+    if nd == 0:
+        return np.zeros((n_intervals, n_symbols), dtype=complex)
+    loss_g = path_loss_linear(fading.alice_dris,
+                              geometry.distance(geometry.alice, geometry.dris_center))
+    g = sample_rician_g(gen, geometry, fading.rician_g, size=n_intervals)
+    h_i = sample_cgauss(gen, 0.0, 1.0, size=(n_intervals, nd))
+    idx = _phase_indices(gen, profile, (n_intervals, n_symbols, nd))
+    # scaling the per-symbol sums rather than a saves a pass over (intervals, N_D)
+    return _contract(g * h_i, idx, profile.coeff_table()) \
+        / np.sqrt(loss_g * np.reshape(loss_i, (-1, 1)))
 
 
 def _chunk_sizes(total: int, chunk: int):
@@ -319,27 +321,18 @@ def cascaded_mc(gen: np.random.Generator, geometry: Geometry, fading: LinkFading
     """
     if target not in ("willie", "bob"):
         raise ValueError(f"target must be 'willie' or 'bob', got {target!r}")
-    n = geometry.n_elements
-    if n == 0:
-        return np.zeros(n_draws, dtype=complex)
     if bob_position is None:
         bob_position = geometry.bob_center
-    d_ad = geometry.distance(geometry.alice, geometry.dris_center)
     if target == "willie":
         d_hop = geometry.distance(geometry.dris_center, geometry.willie)
         loss_i = path_loss_linear(fading.dris_willie, d_hop)
     else:
         d_hop = geometry.distance(geometry.dris_center, bob_position)
         loss_i = path_loss_linear(fading.dris_bob, d_hop)
-    loss_g = path_loss_linear(fading.alice_dris, d_ad)
-    scale = math.sqrt(loss_g * loss_i)
     out = np.empty(n_draws, dtype=complex)
     pos = 0
-    for take in _chunk_sizes(n_draws, _mc_chunk(n_draws, n)):
-        g = sample_rician_g(gen, geometry, fading.rician_g, size=take)
-        h = sample_cgauss(gen, 0.0, 1.0, size=(take, n))
-        c = sample_dris_coeffs(gen, profile, n, size=take)
-        out[pos : pos + take] = np.sum(g * c * h, axis=1) / scale
+    for take in _chunk_sizes(n_draws, _mc_chunk(n_draws, geometry.n_elements)):
+        out[pos : pos + take] = _cascade(gen, geometry, fading, profile, loss_i, take, 1)[:, 0]
         pos += take
     return out
 
@@ -372,25 +365,14 @@ def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothes
 
     geo, fad = scenario.geometry, scenario.fading
     nd = geo.n_elements
-    d_aw = geo.distance(geo.alice, geo.willie)
-    loss_d_w = path_loss_linear(fad.alice_willie, d_aw)
-    if nd:
-        d_ad = geo.distance(geo.alice, geo.dris_center)
-        d_dw = geo.distance(geo.dris_center, geo.willie)
-        casc_scale = math.sqrt(path_loss_linear(fad.alice_dris, d_ad)
-                               * path_loss_linear(fad.dris_willie, d_dw))
+    loss_d_w = path_loss_linear(fad.alice_willie, geo.distance(geo.alice, geo.willie))
+    loss_i_w = path_loss_linear(fad.dris_willie, geo.distance(geo.dris_center, geo.willie))
     stats = np.empty(n_intervals)
     pos = 0
     for take in _chunk_sizes(n_intervals, _mc_chunk(n_intervals, n_samples * max(nd, 1))):
         h_d = sample_cgauss(gen, 0.0, 1.0, size=take) / math.sqrt(loss_d_w)
-        if nd:
-            g = sample_rician_g(gen, geo, fad.rician_g, size=take)
-            h_i = sample_cgauss(gen, 0.0, 1.0, size=(take, nd))
-            a = g * h_i / casc_scale
-            coeffs = sample_dris_coeffs(gen, scenario.profile, nd, size=(take, n_samples))
-            h_tot = h_d[:, None] + np.einsum("ik,ink->in", a, coeffs)
-        else:
-            h_tot = np.broadcast_to(h_d[:, None], (take, n_samples))
+        h_tot = h_d[:, None] + _cascade(gen, geo, fad, scenario.profile, loss_i_w,
+                                        take, n_samples)
         s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(take, n_samples))
         noise = sample_cgauss(gen, 0.0, noise_var, size=(take, n_samples))
         y = h_tot * s + noise
@@ -413,8 +395,6 @@ def gen_bob_signals(gen: np.random.Generator, scenario: Scenario, n_symbols: int
     m = scenario.m_symbols
     n_intervals = (n_symbols + m - 1) // m
     fixed_pos = scenario.bob_position
-    d_ad = geo.distance(geo.alice, geo.dris_center)
-    loss_g = path_loss_linear(fad.alice_dris, d_ad)
 
     sig = np.empty(n_intervals * m)
     jam = np.empty(n_intervals * m)
@@ -429,14 +409,7 @@ def gen_bob_signals(gen: np.random.Generator, scenario: Scenario, n_symbols: int
         loss_d_b = path_loss_linear(fad.alice_bob, d_ab)
         loss_i_b = path_loss_linear(fad.dris_bob, d_db)
         h_d = sample_cgauss(gen, 0.0, 1.0, size=take) / np.sqrt(loss_d_b)
-        if nd:
-            g = sample_rician_g(gen, geo, fad.rician_g, size=take)
-            h_i = sample_cgauss(gen, 0.0, 1.0, size=(take, nd))
-            a = g * h_i / np.sqrt(loss_g * loss_i_b)[:, None]
-            coeffs = sample_dris_coeffs(gen, scenario.profile, nd, size=(take, m))
-            h_jam = np.einsum("ik,imk->im", a, coeffs)
-        else:
-            h_jam = np.zeros((take, m), dtype=complex)
+        h_jam = _cascade(gen, geo, fad, scenario.profile, loss_i_b, take, m)
         s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(take, m))
         chunk_n = take * m
         sig[pos : pos + chunk_n] = (np.abs(h_d[:, None] * s) ** 2).ravel()

@@ -119,9 +119,13 @@ class ScenarioConfig:
             raise ConfigError("dris.elements_h and dris.elements_v must be positive")
         if v["geometry.bob_inner"] >= v["geometry.bob_outer"]:
             raise ConfigError("geometry.bob_inner must be below geometry.bob_outer")
-        k = len(v["dris.phases"])
-        if len(v["dris.amplitudes"]) != k or len(v["dris.probabilities"]) != k:
-            raise ConfigError("dris phase/amplitude/probability lists must match in length")
+        try:
+            self.profile()
+        except ValueError as exc:
+            raise ConfigError(f"dris profile: {exc}") from None
+        for key in ("detector.train_size", "detector.eval_size", "detector.n_threshold"):
+            if v[key] < 1:
+                raise ConfigError(f"{key} must be at least 1")
         if not 0 < v["detector.alpha"] < 1:
             raise ConfigError("detector.alpha must lie in (0, 1)")
         if not 0 < v["detector.rho"] < 1:

@@ -1,7 +1,8 @@
 """Experiment sweeps, validation suite, and CSV emission.
 
 Each sweep point fits three detectors (unsupervised, supervised, and the
-same unsupervised pipeline on data generated without the surface), then
+same unsupervised pipeline on data generated without the surface; at zero
+elements the first and the last coincide and are fitted once), then
 evaluates missed-detection and false-alarm rates on fresh labeled data
 and compares the simulated SJNR against the closed form.  Seeds are
 derived per point from labeled substreams, so points are independent and
@@ -115,29 +116,31 @@ def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
     seeds = root.derive(f"point/{sweep_var}/{sweep_value!r}")
     dcfg = cfg.detector_config(n_samples=n_samples)
     scen = cfg.scenario(p0_dbm, n_elements=n_elements)
-    scen0 = cfg.scenario(p0_dbm, n_elements=0)
 
     # seed labels keyed by element count: a zero-element sweep point takes
-    # exactly the no-surface baseline's code path and randomness, so the
-    # two rows agree bit-for-bit
+    # exactly the no-surface baseline's code path and randomness, so there
+    # the baseline is the unsupervised detector itself and is not refitted
     n_d = scen.geometry.n_elements
     det_unsup = _fit_variant(cfg, seeds.derive(f"fit/{n_d}"), scen, dcfg, "unsup")
     det_sup = _fit_variant(cfg, seeds.derive(f"fit/{n_d}"), scen, dcfg, "sup")
-    det_nodris = _fit_variant(cfg, seeds.derive("fit/0"), scen0, dcfg, "unsup")
 
     n_eval = cfg["detector.eval_size"]
     eval_h0 = channel.gen_willie_statistics(seeds.child("eval/h0"), scen, "H0",
                                             n_eval, n_samples)
     eval_h1 = channel.gen_willie_statistics(seeds.child(f"eval/h1/{n_d}"), scen, "H1",
                                             n_eval, n_samples)
-    eval_h1_0 = channel.gen_willie_statistics(seeds.child("eval/h1/0"), scen0,
-                                              "H1", n_eval, n_samples)
     eval_dris = detector.ObservationBatch.concatenate([eval_h0, eval_h1])
-    eval_nodris = detector.ObservationBatch.concatenate([eval_h0, eval_h1_0])
-
     rep_unsup = detector.evaluate(det_unsup, eval_dris)
     rep_sup = detector.evaluate(det_sup, eval_dris)
-    rep_nodris = detector.evaluate(det_nodris, eval_nodris)
+    if n_d == 0:
+        rep_nodris = rep_unsup
+    else:
+        scen0 = cfg.scenario(p0_dbm, n_elements=0)
+        det_nodris = _fit_variant(cfg, seeds.derive("fit/0"), scen0, dcfg, "unsup")
+        eval_h1_0 = channel.gen_willie_statistics(seeds.child("eval/h1/0"), scen0,
+                                                  "H1", n_eval, n_samples)
+        rep_nodris = detector.evaluate(
+            det_nodris, detector.ObservationBatch.concatenate([eval_h0, eval_h1_0]))
     sjnr_sim, sjnr_th = _sjnr_pair(cfg, seeds, p0_dbm, n_elements)
 
     return SweepResult(

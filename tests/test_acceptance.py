@@ -7,6 +7,7 @@ intervals instead of weakening the assertion.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -284,14 +285,16 @@ class TestCriterion09Trends:
                f"samples spread {max(sims) - min(sims):.3f} dB")
 
 
+TINY_CONFIG = ("detector.train_size = 1500\ndetector.eval_size = 1500\n"
+               "detector.n_threshold = 20000\nflow.epochs = 3\n"
+               "sweep.powers_dbm = -7, 5\nsweep.elements = 0, 64\n"
+               "sweep.samples = 1, 5\nsjnr.n_symbols = 20000\n"
+               "seeds.root = 99\n")
+
+
 def test_criterion_10_determinism(tmp_path):
-    cfg_text = ("detector.train_size = 1500\ndetector.eval_size = 1500\n"
-                "detector.n_threshold = 20000\nflow.epochs = 3\n"
-                "sweep.powers_dbm = -7, 5\nsweep.elements = 0, 64\n"
-                "sweep.samples = 1, 5\nsjnr.n_symbols = 20000\n"
-                "seeds.root = 99\n")
     cfgfile = tmp_path / "tiny.cfg"
-    cfgfile.write_text(cfg_text)
+    cfgfile.write_text(TINY_CONFIG)
     ok = True
     details = []
     for sub in ("sweep-power", "sweep-elements", "sweep-samples", "dump-config"):
@@ -309,3 +312,21 @@ def test_criterion_10_determinism(tmp_path):
         details.append(f"{sub}: {'identical' if same else 'DIFFERS'}")
     report(10, "subcommand reruns with identical config and seed are "
                "byte-identical", ok, "; ".join(details))
+
+
+def test_csv_independent_of_blas_threads(tmp_path):
+    """The cascade contraction is a BLAS matmul: its CSV may not depend on
+    how many threads BLAS runs."""
+    cfgfile = tmp_path / "tiny.cfg"
+    cfgfile.write_text(TINY_CONFIG)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"sweep-power-{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        res = subprocess.run([sys.executable, "-m", "discodet.cli", "sweep-power",
+                              "--config", str(cfgfile), "--out", str(out)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -113,6 +113,58 @@ class TestSampling:
         assert frac0 == pytest.approx(0.3, abs=0.01)
 
 
+DEFAULT_PROFILE = DEFAULT_CONFIG.profile()
+QUARTER_PROFILE = DrisProfile((0.0, 1.0, 2.0, 3.0), (1.0, 0.9, 0.8, 0.7),
+                              (0.25, 0.25, 0.25, 0.25))
+NON_DYADIC_PROFILE = DrisProfile((0.1, 2.0), (0.8, 1.0), (0.3, 0.7))
+
+
+class TestCascadeKernel:
+    @pytest.mark.parametrize("prof", [
+        DEFAULT_PROFILE,                 # one random bit per element
+        QUARTER_PROFILE,                 # the inverse-CDF fallback
+        NON_DYADIC_PROFILE,
+    ])
+    def test_phase_frequencies(self, prof):
+        idx = channel._phase_indices(SeedStream(8).child("idx"), prof, (100, 3, 512))
+        assert idx.shape == (100, 3, 512)
+        freq = np.bincount(idx.ravel(), minlength=len(prof.phases)) / idx.size
+        # 153 600 draws: the binomial standard error is at most 0.0013
+        np.testing.assert_allclose(freq, prof.probabilities, atol=0.006)
+
+    def test_default_profile_reads_bits(self):
+        idx = channel._phase_indices(SeedStream(8).child("bits"), DEFAULT_PROFILE, (3, 5))
+        raw = SeedStream(8).child("bits").integers(0, 256, size=2, dtype=np.uint8)
+        np.testing.assert_array_equal(idx, np.unpackbits(raw, count=15).reshape(3, 5))
+
+    @pytest.mark.parametrize("prof", [DEFAULT_PROFILE, QUARTER_PROFILE,
+                                      NON_DYADIC_PROFILE])
+    def test_matches_einsum(self, prof):
+        geo = small_geometry(8, 8)
+        fad = LinkFading()
+        loss_i = np.linspace(1e7, 1e8, 30)
+        got = channel._cascade(SeedStream(9).child("k"), geo, fad, prof, loss_i, 30, 5)
+        # the same draws, in the same order, contracted the direct way
+        gen = SeedStream(9).child("k")
+        g = sample_rician_g(gen, geo, fad.rician_g, size=30)
+        h = channel.sample_cgauss(gen, 0.0, 1.0, size=(30, 64))
+        idx = channel._phase_indices(gen, prof, (30, 5, 64))
+        loss_g = path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
+        a = g * h / np.sqrt(loss_g * loss_i)[:, None]
+        ref = np.einsum("ik,imk->im", a, prof.coeff_table()[idx])
+        assert got.shape == (30, 5)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_steering_is_cached_read_only(self):
+        geo = small_geometry()
+        vec = geo.steering
+        assert vec is geo.steering
+        assert not vec.flags.writeable
+        np.testing.assert_array_equal(vec, los_steering(geo))
+        with pytest.raises(ValueError):
+            vec[0] = 0
+
+
 class TestCascadedChannel:
     def test_gaussian_limit_variance(self):
         geo = small_geometry()           # 256 elements

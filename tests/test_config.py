@@ -55,6 +55,25 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("detector.n_samples = 21")
 
+    @pytest.mark.parametrize("text,match", [
+        ("dris.probabilities = 0.6, 0.6", "sum to 1"),
+        ("dris.probabilities = 1.5, -0.5", "non-negative"),
+        ("dris.phases = 0, 1, 2\ndris.amplitudes = 1, 1, 1\n"
+         "dris.probabilities = 0.5, 0.25, 0.25", "power of two"),
+        ("dris.amplitudes = 0.8, 1.2", "amplitudes"),
+        ("dris.phases = 0, 1, 2", "equal length"),
+    ])
+    def test_bad_profile_rejected(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("key", ["detector.train_size", "detector.eval_size",
+                                     "detector.n_threshold"])
+    def test_sizes_must_be_positive(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = 0")
+        assert parse_config_text(f"{key} = 1")[key] == 1
+
     def test_bad_choice(self):
         with pytest.raises(ConfigError):
             parse_config_text("sjnr.bob_mode = somewhere")

@@ -1,11 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from discodet import sweeps
 from discodet.config import parse_config_text
+from discodet.statkit import SeedStream
 from discodet.sweeps import (CSV_HEADER, SweepResult, emit_csv,
                              run_elements_sweep, run_samples_sweep)
 
@@ -90,6 +93,23 @@ class TestSweeps:
         assert r0.mdr_unsup_lo == r0.mdr_no_dris_lo
         assert r0.mdr_unsup_hi == r0.mdr_no_dris_hi
 
+    @pytest.mark.parametrize("n_d,fits", [
+        (0, [(0, "unsup"), (0, "sup")]),             # the baseline is the unsup fit
+        (64, [(64, "unsup"), (64, "sup"), (0, "unsup")]),
+    ])
+    def test_baseline_fitted_only_with_surface(self, tiny_cfg, monkeypatch, n_d, fits):
+        calls = []
+        fit = sweeps._fit_variant
+
+        def counting_fit(cfg, seeds, scen, dcfg, variant):
+            calls.append((scen.geometry.n_elements, variant))
+            return fit(cfg, seeds, scen, dcfg, variant)
+
+        monkeypatch.setattr(sweeps, "_fit_variant", counting_fit)
+        with pytest.warns(UserWarning):
+            sweeps.run_point(tiny_cfg, SeedStream(777), "n_elements", n_d, -7.0, n_d, 5)
+        assert calls == fits
+
     def test_sjnr_theory_decreasing_in_elements(self, elements_results):
         assert elements_results[1].sjnr_theory_db < elements_results[0].sjnr_theory_db
 
@@ -118,9 +138,15 @@ class TestValidationSuite:
                 "surrogate_np_oracle"} <= names
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(args, cwd):
+    # an absolute package path: a relative PYTHONPATH does not resolve under cwd
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "discodet.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestCli:
@@ -143,6 +169,14 @@ class TestCli:
         res = run_cli(["dump-config", "--config", str(bad)], tmp_path)
         assert res.returncode == 2
         assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("command", ["dump-config", "sweep-power"])
+    def test_bad_profile_exits_2(self, tmp_path, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("dris.probabilities = 0.6, 0.6\n")
+        res = run_cli([command, "--config", str(bad)], tmp_path)
+        assert res.returncode == 2
+        assert "dris profile" in res.stderr
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
