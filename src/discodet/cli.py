@@ -92,19 +92,8 @@ def _run_sweep(args, runner) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     seeds = SeedStream(cfg["seeds.root"]).derive("cli-train")
-    dcfg = cfg.detector_config()
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
-    null = theory.GammaNull(dcfg.n_samples, scen.fading.noise_w)
-    t_total = cfg["detector.train_size"]
-    n_h1 = int(round(dcfg.mixture_h1 * t_total))
-    h1 = channel.gen_willie_statistics(seeds.child("data/h1"), scen, "H1",
-                                       n_h1, dcfg.n_samples)
-    h0 = channel.gen_willie_statistics(seeds.child("data/h0"), scen, "H0",
-                                       t_total - n_h1, dcfg.n_samples)
-    batch = detector.ObservationBatch.concatenate([h1, h0]) \
-        .shuffled(seeds.child("data/shuffle"))
-    tcfg = cfg.train_config(seed=seeds.derive("init").root_seed)
-    det = detector.fit_unsupervised(batch, null, dcfg, tcfg, seeds.child("calibrate"))
+    det = sweeps._fit_variant(cfg, seeds, scen, cfg.detector_config(), "unsup")
     flow.save_flow(det.flow, args.out)
     print(f"saved model to {args.out} "
           f"(threshold {det.threshold:.6g}, trained on {det.metadata['n_train']} samples)")

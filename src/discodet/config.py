@@ -123,9 +123,14 @@ class ScenarioConfig:
             self.profile()
         except ValueError as exc:
             raise ConfigError(f"dris profile: {exc}") from None
-        for key in ("detector.train_size", "detector.eval_size", "detector.n_threshold"):
+        for key in ("detector.train_size", "detector.eval_size", "detector.n_threshold",
+                    "flow.epochs", "flow.batch_size"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
+        if not v["flow.learning_rate"] > 0:
+            raise ConfigError("flow.learning_rate must be positive")
+        if not 0 <= v["detector.mixture_h1"] <= 1:
+            raise ConfigError("detector.mixture_h1 must lie in [0, 1]")
         if not 0 < v["detector.alpha"] < 1:
             raise ConfigError("detector.alpha must lie in (0, 1)")
         if not 0 < v["detector.rho"] < 1:

@@ -4,7 +4,9 @@ The flow stacks affine autoregressive blocks whose per-dimension shift and
 log-scale are produced by degree-masked dense networks; every second block
 sees its input in reversed order.  Log-densities are exact via the
 triangular change-of-variables, gradients are hand-written reverse-mode,
-and training uses Adam on the average negative log-likelihood.
+and training uses Adam on the average negative log-likelihood.  All
+parameters of a model live in one flat vector ``theta`` (their gradients
+in ``grad``); every weight, bias and head array is a view into it.
 
 For one-dimensional data the masked conditioner has no inputs, so a pure
 affine stack would only span Gaussian shapes.  Each block therefore
@@ -47,21 +49,18 @@ class TrainConfig:
     learning_rate: float = 2e-4
     epochs: int = 200
     batch_size: int = 256
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 5.0
     seed: int = 0
     n_blocks: int = 5
     hidden: tuple[int, ...] = (64,)
     enrichment: bool | None = None   # None: on for d=1, off otherwise
-    holdout_fraction: float = 0.1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
 
 
 def standardizer_fit(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,6 +84,12 @@ def _as_2d(data) -> np.ndarray:
     return arr
 
 
+def _views(buf: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of the flat ``buf``, one per shape."""
+    offsets = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [part.reshape(s) for part, s in zip(np.split(buf, offsets), shapes)]
+
+
 def _make_degrees(dim: int, hidden: tuple[int, ...]) -> list[np.ndarray]:
     degrees = [np.arange(1, dim + 1)]
     for width in hidden:
@@ -99,7 +104,9 @@ class MadeNetwork:
     outputs are input-independent learned constants.
     """
 
-    def __init__(self, dim: int, hidden: tuple[int, ...], init_gen: np.random.Generator):
+    def __init__(self, dim: int, hidden: tuple[int, ...], init_gen: np.random.Generator,
+                 params: list[np.ndarray], grads: list[np.ndarray]):
+        """``params``/``grads`` are zeroed views laid out by ``param_shapes``."""
         self.dim = dim
         self.hidden = tuple(hidden)
         degrees = _make_degrees(dim, self.hidden)
@@ -108,41 +115,25 @@ class MadeNetwork:
             for i in range(len(degrees) - 1)
         ]
         self.out_mask = (degrees[-1][:, None] < degrees[0][None, :]).astype(float)
-        self.weights, self.biases = [], []
-        for i, mask in enumerate(self.masks):
-            fan_in, fan_out = mask.shape
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(init_gen.uniform(-bound, bound, size=mask.shape) * mask)
-            self.biases.append(np.zeros(fan_out))
-        last = self.hidden[-1] if self.hidden else dim
+        n = 2 * len(self.masks)
+        self.weights, self.biases = params[0:n:2], params[1:n:2]
+        self.g_weights, self.g_biases = grads[0:n:2], grads[1:n:2]
         # zero-initialized heads: the flow starts as the identity map
-        self.w_mu = np.zeros((last, dim))
-        self.b_mu = np.zeros(dim)
-        self.w_s = np.zeros((last, dim))
-        self.b_s = np.zeros(dim)
-        self._zero_grads()
+        self.w_mu, self.b_mu, self.w_s, self.b_s = params[n:]
+        self.g_w_mu, self.g_b_mu, self.g_w_s, self.g_b_s = grads[n:]
+        for w, mask in zip(self.weights, self.masks):
+            bound = math.sqrt(6.0 / sum(mask.shape))
+            w[...] = init_gen.uniform(-bound, bound, size=mask.shape) * mask
 
-    def _zero_grads(self):
-        self.g_weights = [np.zeros_like(w) for w in self.weights]
-        self.g_biases = [np.zeros_like(b) for b in self.biases]
-        self.g_w_mu = np.zeros_like(self.w_mu)
-        self.g_b_mu = np.zeros_like(self.b_mu)
-        self.g_w_s = np.zeros_like(self.w_s)
-        self.g_b_s = np.zeros_like(self.b_s)
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out += [w, b]
-        out += [self.w_mu, self.b_mu, self.w_s, self.b_s]
-        return out
-
-    def gradients(self) -> list[np.ndarray]:
-        out = []
-        for gw, gb in zip(self.g_weights, self.g_biases):
-            out += [gw, gb]
-        out += [self.g_w_mu, self.g_b_mu, self.g_w_s, self.g_b_s]
-        return out
+    @staticmethod
+    def param_shapes(dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Shapes in declaration order: (weight, bias) per layer, then the
+        shift head (weight, bias) and the log-scale head (weight, bias)."""
+        widths = (dim, *hidden)
+        shapes = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            shapes += [(fan_in, fan_out), (fan_out,)]
+        return shapes + [(widths[-1], dim), (dim,)] * 2
 
     def forward(self, y: np.ndarray, need_cache: bool = False):
         h = y
@@ -184,33 +175,21 @@ class FlowBlock:
     log-scale head, optional monotone element-wise enrichment."""
 
     def __init__(self, dim: int, hidden: tuple[int, ...], reverse: bool, enrich: bool,
-                 init_gen: np.random.Generator):
+                 init_gen: np.random.Generator, params: list[np.ndarray],
+                 grads: list[np.ndarray]):
         self.dim = dim
         self.reverse = reverse
         self.enrich = enrich
-        self.made = MadeNetwork(dim, hidden, init_gen)
+        n = len(MadeNetwork.param_shapes(dim, hidden))
+        self.made = MadeNetwork(dim, hidden, init_gen, params[:n], grads[:n])
         if enrich:
-            self.ea_raw = np.zeros(dim)   # a = tanh(ea)/b starts at 0: identity enrichment
-            self.eb_raw = np.zeros(dim)   # b = softplus(eb)
-        self._zero_grads()
+            # a = tanh(ea)/b starts at 0: identity enrichment; b = softplus(eb)
+            self.ea_raw, self.eb_raw = params[n:]
+            self.g_ea_raw, self.g_eb_raw = grads[n:]
 
-    def _zero_grads(self):
-        self.made._zero_grads()
-        if self.enrich:
-            self.g_ea_raw = np.zeros(self.dim)
-            self.g_eb_raw = np.zeros(self.dim)
-
-    def parameters(self) -> list[np.ndarray]:
-        out = self.made.parameters()
-        if self.enrich:
-            out += [self.ea_raw, self.eb_raw]
-        return out
-
-    def gradients(self) -> list[np.ndarray]:
-        out = self.made.gradients()
-        if self.enrich:
-            out += [self.g_ea_raw, self.g_eb_raw]
-        return out
+    @staticmethod
+    def param_shapes(dim: int, hidden: tuple[int, ...], enrich: bool) -> list[tuple[int, ...]]:
+        return MadeNetwork.param_shapes(dim, hidden) + [(dim,), (dim,)] * enrich
 
     def _enrich_ab(self):
         b = _softplus(self.eb_raw)
@@ -298,42 +277,27 @@ class FlowModel:
     """Standardizer plus a stack of autoregressive blocks over a standard
     normal base; supports exact log-density, inversion, and gradients."""
 
-    def __init__(self, dim: int, blocks: list[FlowBlock],
-                 mu_std: np.ndarray, sigma_std: np.ndarray):
+    def __init__(self, dim: int, n_blocks: int, hidden: tuple[int, ...], enrich: bool,
+                 init_gen: np.random.Generator, mu_std: np.ndarray, sigma_std: np.ndarray):
         self.dim = dim
-        self.blocks = blocks
+        shapes = FlowBlock.param_shapes(dim, hidden, enrich)
+        self.theta = np.zeros(n_blocks * sum(math.prod(s) for s in shapes))
+        self.grad = np.zeros_like(self.theta)
+        self._params = _views(self.theta, shapes * n_blocks)
+        self._grads = _views(self.grad, shapes * n_blocks)
+        k = len(shapes)
+        self.blocks = [
+            FlowBlock(dim, hidden, reverse=(i % 2 == 1), enrich=enrich, init_gen=init_gen,
+                      params=self._params[i * k:(i + 1) * k],
+                      grads=self._grads[i * k:(i + 1) * k])
+            for i in range(n_blocks)
+        ]
         self.mu_std = np.asarray(mu_std, dtype=float).reshape(dim)
         self.sigma_std = np.asarray(sigma_std, dtype=float).reshape(dim)
 
-    # -- parameter plumbing -------------------------------------------------
-
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for blk in self.blocks:
-            out += blk.parameters()
-        return out
-
-    def gradients(self) -> list[np.ndarray]:
-        out = []
-        for blk in self.blocks:
-            out += blk.gradients()
-        return out
-
-    def zero_grad(self):
-        for blk in self.blocks:
-            blk._zero_grads()
-
-    def get_param_values(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def set_param_values(self, values: list[np.ndarray]):
-        params = self.parameters()
-        if len(values) != len(params):
-            raise ValueError("parameter list length mismatch")
-        for p, v in zip(params, values):
-            if p.shape != v.shape:
-                raise ValueError("parameter shape mismatch")
-            p[...] = v
+        """Every parameter array in declaration order, as views into ``theta``."""
+        return list(self._params)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -375,15 +339,11 @@ def build_flow(dim: int, config: TrainConfig, mu_std=None, sigma_std=None) -> Fl
     enrich = config.enrichment if config.enrichment is not None else dim == 1
     init_gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(0x11AD, 0))))
-    blocks = [
-        FlowBlock(dim, config.hidden, reverse=(i % 2 == 1), enrich=enrich, init_gen=init_gen)
-        for i in range(config.n_blocks)
-    ]
     if mu_std is None:
         mu_std = np.zeros(dim)
     if sigma_std is None:
         sigma_std = np.ones(dim)
-    return FlowModel(dim, blocks, mu_std, sigma_std)
+    return FlowModel(dim, config.n_blocks, config.hidden, enrich, init_gen, mu_std, sigma_std)
 
 
 def nll(model: FlowModel, batch) -> float:
@@ -395,12 +355,15 @@ def nll(model: FlowModel, batch) -> float:
 
 
 def grad_nll(model: FlowModel, batch) -> tuple[float, list[np.ndarray]]:
-    """Exact reverse-mode gradient of the batch NLL for every parameter."""
+    """Exact reverse-mode gradient of the batch NLL for every parameter.
+
+    The gradient is written to ``model.grad``; the returned list holds its
+    views shaped like ``parameters()``, overwritten by the next call."""
     arr = _as_2d(batch)
     n = arr.shape[0]
     if n == 0:
         raise ValueError("grad_nll requires a non-empty batch")
-    model.zero_grad()
+    model.grad[:] = 0.0
     z, logdet, caches = model.forward(arr, need_caches=True)
     base = -0.5 * (z * z).sum(axis=1) - 0.5 * model.dim * math.log(2 * math.pi)
     loss = float(-(base + logdet).mean())
@@ -408,41 +371,42 @@ def grad_nll(model: FlowModel, batch) -> tuple[float, list[np.ndarray]]:
     c_logdet = -1.0 / n        # coefficient of each sample's logdet
     for blk, cache in zip(reversed(model.blocks), reversed(caches)):
         dz = blk.backward(cache, dz, c_logdet)
-    return loss, [g.copy() for g in model.gradients()]
+    return loss, list(model._grads)
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLIP_NORM = 5.0          # global gradient-norm clip
+HOLDOUT_FRACTION = 0.1   # share of the training data scored for the best epoch
 
 
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment vectors plus the step counter."""
 
-    def __init__(self, params: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, theta: np.ndarray):
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
               config: TrainConfig) -> None:
-    """In-place Adam update with bias correction and global-norm clipping."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise RuntimeError("parameter/gradient/state length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise RuntimeError("parameter/gradient shape mismatch")
-    if config.clip_norm > 0:
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-        if total > config.clip_norm:
-            scale = config.clip_norm / total
-            grads = [g * scale for g in grads]
+    """In-place Adam update of the flat parameter vector, with bias
+    correction and global-norm clipping; ``grad`` is left unchanged."""
+    if theta.shape != grad.shape or theta.shape != state.m.shape:
+        raise RuntimeError("parameter/gradient/state shape mismatch")
+    norm = math.sqrt(float((grad * grad).sum()))   # numpy's sum, not BLAS: thread-free
+    if norm > CLIP_NORM:
+        grad = grad * (CLIP_NORM / norm)
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    state.m *= ADAM_BETA1
+    state.m += (1 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1 - ADAM_BETA2) * grad * grad
+    theta -= config.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
 
 
 def train(data, config: TrainConfig) -> FlowModel:
@@ -458,28 +422,26 @@ def train(data, config: TrainConfig) -> FlowModel:
     shuffle_gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(0x5417, 0))))
     perm = shuffle_gen.permutation(n)
-    n_hold = max(1, int(round(config.holdout_fraction * n)))
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
     hold = arr[perm[:n_hold]]
     tr = arr[perm[n_hold:]]
     if tr.shape[0] == 0:
         raise ValueError("holdout split left no training data")
 
-    params = model.parameters()
-    state = AdamState(params)
+    state = AdamState(model.theta)
     best_nll = nll(model, hold)
-    best_params = model.get_param_values()
+    best_theta = model.theta.copy()
     bs = min(config.batch_size, tr.shape[0])
     for _ in range(config.epochs):
         order = shuffle_gen.permutation(tr.shape[0])
         for start in range(0, tr.shape[0], bs):
-            batch = tr[order[start : start + bs]]
-            _, grads = grad_nll(model, batch)
-            adam_step(params, grads, state, config)
+            grad_nll(model, tr[order[start : start + bs]])
+            adam_step(model.theta, model.grad, state, config)
         hold_nll = nll(model, hold)
         if hold_nll < best_nll:
             best_nll = hold_nll
-            best_params = model.get_param_values()
-    model.set_param_values(best_params)
+            best_theta = model.theta.copy()
+    model.theta[:] = best_theta
     return model
 
 
@@ -489,7 +451,8 @@ _MAGIC = b"DSCFLOW1"
 
 
 def save_flow(model: FlowModel, path) -> None:
-    """Versioned flat binary layout; parameters in declaration order as
+    """Versioned flat binary layout: magic, architecture header, the
+    standardizer, then ``theta`` (every parameter in declaration order) as
     little-endian float64.  Loading reproduces log-densities bit-identically."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -500,8 +463,7 @@ def save_flow(model: FlowModel, path) -> None:
             fh.write(struct.pack("<I", width))
         fh.write(model.mu_std.astype("<f8").tobytes())
         fh.write(model.sigma_std.astype("<f8").tobytes())
-        for p in model.parameters():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(model.theta.astype("<f8").tobytes())
 
 
 def load_flow(path) -> FlowModel:
@@ -514,13 +476,10 @@ def load_flow(path) -> FlowModel:
         sigma_std = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
         config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))
         model = build_flow(dim, config, mu_std, sigma_std)
-        values = []
-        for p in model.parameters():
-            raw = fh.read(8 * p.size)
-            if len(raw) != 8 * p.size:
-                raise ValueError(f"{path}: truncated parameter data")
-            values.append(np.frombuffer(raw, dtype="<f8").reshape(p.shape).copy())
+        raw = fh.read(8 * model.theta.size)
+        if len(raw) != 8 * model.theta.size:
+            raise ValueError(f"{path}: truncated parameter data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
-        model.set_param_values(values)
+        model.theta[:] = np.frombuffer(raw, dtype="<f8")
     return model

@@ -61,7 +61,8 @@ def _train_seed(seeds: statkit.SeedStream, label: str) -> int:
 
 def _fit_variant(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
                  variant: str) -> detector.FittedDetector:
-    """Fit one detector variant on freshly generated training data.
+    """Fit one detector variant on freshly generated training data (the
+    sweeps and the CLI ``train`` command share this path).
 
     ``variant`` is "unsup" or "sup"; the no-surface baseline is the
     unsupervised path run on a zero-element scenario (same code, same

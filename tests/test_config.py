@@ -68,11 +68,22 @@ class TestParsing:
             parse_config_text(text)
 
     @pytest.mark.parametrize("key", ["detector.train_size", "detector.eval_size",
-                                     "detector.n_threshold"])
+                                     "detector.n_threshold", "flow.epochs",
+                                     "flow.batch_size", "flow.learning_rate"])
     def test_sizes_must_be_positive(self, key):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = 0")
         assert parse_config_text(f"{key} = 1")[key] == 1
+
+    @pytest.mark.parametrize("value,ok", [(-0.1, False), (0.0, True), (1.0, True),
+                                          (1.5, False), (math.nan, False)])
+    def test_mixture_is_a_fraction(self, value, ok):
+        text = f"detector.mixture_h1 = {value}"
+        if ok:
+            assert parse_config_text(text)["detector.mixture_h1"] == value
+        else:
+            with pytest.raises(ConfigError, match="detector.mixture_h1"):
+                parse_config_text(text)
 
     def test_bad_choice(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from discodet import flow
-from discodet.flow import (FlowModel, TrainConfig, build_flow, grad_nll,
+from discodet.flow import (AdamState, TrainConfig, adam_step, build_flow, grad_nll,
                            load_flow, nll, save_flow, standardizer_fit, train)
 from discodet.statkit import SeedStream, sample_gamma
 from discodet.sweeps import autoregressive_check
@@ -154,6 +154,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(np.array([1.0, 2.0]), TrainConfig(epochs=1, batch_size=256))
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_must_be_positive(self, batch_size):
+        # unchecked, a negative size leaves the batch loop empty and train
+        # returns the untrained init without an error
+        with pytest.raises(ValueError, match="batch size"):
+            TrainConfig(batch_size=batch_size)
+
 
 class TestSerialization:
     def test_bit_identical_roundtrip(self, tmp_path):
@@ -187,6 +194,86 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_flow(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        model = perturbed_model(2)
+        path = tmp_path / "model.flow"
+        save_flow(model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            load_flow(path)
+
+    @pytest.mark.parametrize("dim,hidden", [(1, (8,)), (3, (8, 6))])
+    def test_body_is_theta(self, tmp_path, dim, hidden):
+        model = perturbed_model(dim, hidden=hidden)
+        path = tmp_path / "model.flow"
+        save_flow(model, path)
+        header = len(b"DSCFLOW1") + 13 + 4 * len(hidden) + 2 * 8 * dim
+        assert path.read_bytes()[header:] == model.theta.astype("<f8").tobytes()
+
+
+class TestFlatParameters:
+    @pytest.fixture(params=["built", "loaded"])
+    def model(self, request, tmp_path):
+        model = perturbed_model(2, enrichment=True)
+        if request.param == "loaded":
+            save_flow(model, tmp_path / "model.flow")
+            model = load_flow(tmp_path / "model.flow")
+        return model
+
+    def test_theta_is_parameters_in_order(self, model):
+        params = model.parameters()
+        np.testing.assert_array_equal(
+            model.theta, np.concatenate([p.reshape(-1) for p in params]))
+        assert all(np.shares_memory(p, model.theta) for p in params)
+
+    def test_gradients_are_views_of_grad(self, model):
+        _, grads = grad_nll(model, np.random.default_rng(3).standard_normal((6, 2)))
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        np.testing.assert_array_equal(
+            model.grad, np.concatenate([g.reshape(-1) for g in grads]))
+        assert all(np.shares_memory(g, model.grad) for g in grads)
+
+
+def reference_adam(params, grads, m, v, t, lr):
+    """Per-array Adam with global-norm clipping, one array at a time."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    if total > 5.0:
+        grads = [g * (5.0 / total) for g in grads]
+    bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= 0.9
+        mi += (1 - 0.9) * g
+        vi *= 0.999
+        vi += (1 - 0.999) * g * g
+        p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + 1e-8)
+    return total > 5.0
+
+
+class TestAdam:
+    def test_matches_per_array_reference(self):
+        model = perturbed_model(1, enrichment=True)
+        config = TrainConfig(learning_rate=1e-3)
+        ref = [p.copy() for p in model.parameters()]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        state = AdamState(model.theta)
+        gen = np.random.default_rng(12)
+        # the third gradient is scaled far past the clip norm
+        for t, scale in enumerate([0.01, 0.01, 100.0], start=1):
+            grads = [scale * gen.standard_normal(p.shape) for p in ref]
+            clipped = reference_adam(ref, grads, m, v, t, config.learning_rate)
+            assert clipped == (t == 3)
+            grad = np.concatenate([g.reshape(-1) for g in grads])
+            before = grad.copy()
+            adam_step(model.theta, grad, state, config)
+            np.testing.assert_array_equal(grad, before)
+            for p, r in zip(model.parameters(), ref):
+                if clipped:
+                    np.testing.assert_allclose(p, r, rtol=1e-12, atol=0)
+                else:
+                    np.testing.assert_array_equal(p, r)
+        assert state.t == 3
 
 
 class TestNumerics:

@@ -178,6 +178,14 @@ class TestCli:
         assert res.returncode == 2
         assert "dris profile" in res.stderr
 
+    @pytest.mark.parametrize("line", ["flow.batch_size = 0", "detector.mixture_h1 = 1.5"])
+    def test_bad_training_setting_exits_2(self, tmp_path, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        res = run_cli(["sweep-elements", "--config", str(bad)], tmp_path)
+        assert res.returncode == 2
+        assert "config error" in res.stderr and line.split()[0] in res.stderr
+
     def test_unknown_subcommand_exits_2(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
         assert res.returncode == 2
