@@ -32,7 +32,6 @@ __all__ = [
     "sample_bob_position",
     "los_steering",
     "sample_rician_g",
-    "sample_dris_coeffs",
     "cascaded_mc",
     "gen_willie_statistics",
     "gen_bob_signals",
@@ -232,17 +231,6 @@ def sample_rician_g(gen: np.random.Generator, geometry: Geometry, kappa: float,
     shape = (geometry.n_elements,) if size is None else (size, geometry.n_elements)
     nlos = sample_cgauss(gen, 0.0, 1.0, size=shape)
     return math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(1 / (1 + kappa)) * nlos
-
-
-def sample_dris_coeffs(gen: np.random.Generator, profile: DrisProfile, n: int,
-                       size=None) -> np.ndarray:
-    """Independent per-element reflection coefficients amp_i * exp(j phase_i).
-
-    ``size`` prepends extra axes (e.g. ``(intervals, symbols)``) for one
-    fresh draw per symbol time.
-    """
-    shape = (n,) if size is None else tuple(np.atleast_1d(size)) + (n,)
-    return profile.coeff_table()[_phase_indices(gen, profile, shape)]
 
 
 def _phase_indices(gen: np.random.Generator, profile: DrisProfile, shape) -> np.ndarray:

@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import channel, detector, flow, sweeps, theory
+from . import detector, flow, sweeps, theory
 from .config import DEFAULT_CONFIG, ConfigError, dump_config, parse_config
 from .statkit import SeedStream
 
@@ -96,7 +94,7 @@ def _cmd_train(args) -> int:
     det = sweeps._fit_variant(cfg, seeds, scen, cfg.detector_config(), "unsup")
     flow.save_flow(det.flow, args.out)
     print(f"saved model to {args.out} "
-          f"(threshold {det.threshold:.6g}, trained on {det.metadata['n_train']} samples)")
+          f"(threshold {det.threshold:.6g}, trained on {det.n_train} samples)")
     return 0
 
 
@@ -109,15 +107,8 @@ def _cmd_eval(args) -> int:
     null = theory.GammaNull(dcfg.n_samples, scen.fading.noise_w)
     eta = detector.calibrate_threshold(model, null, dcfg.alpha, dcfg.n_threshold,
                                        seeds.child("calibrate"))
-    det = detector.FittedDetector(model, null, eta, {"alpha": dcfg.alpha})
-    n_eval = cfg["detector.eval_size"]
-    batch = detector.ObservationBatch.concatenate([
-        channel.gen_willie_statistics(seeds.child("eval/h0"), scen, "H0",
-                                      n_eval, dcfg.n_samples),
-        channel.gen_willie_statistics(seeds.child("eval/h1"), scen, "H1",
-                                      n_eval, dcfg.n_samples),
-    ])
-    rep = detector.evaluate(det, batch)
+    det = detector.FittedDetector(model, null, eta)
+    rep = detector.evaluate(det, sweeps._eval_batch(cfg, seeds, scen, dcfg.n_samples))
     print(f"threshold = {eta:.6g}")
     print(f"FAR = {rep.far:.4f} (target {dcfg.alpha}, "
           f"95% CI [{rep.far_ci[0]:.4f}, {rep.far_ci[1]:.4f}])")
@@ -128,7 +119,7 @@ def _cmd_eval(args) -> int:
                      f"{eta:.9g},{rep.far:.9g},{rep.far_ci[0]:.9g},{rep.far_ci[1]:.9g},"
                      f"{rep.mdr:.9g},{rep.mdr_ci[0]:.9g},{rep.mdr_ci[1]:.9g}\n")
     # the FAR must sit inside a generous band around the target
-    lo, hi = np.asarray(rep.far_ci)
+    lo, hi = rep.far_ci
     return 0 if lo <= dcfg.alpha * 2 and hi >= dcfg.alpha / 2 else 1
 
 

@@ -115,20 +115,22 @@ class ScenarioConfig:
 
     def validate(self):
         v = dict(self.values)
-        if v["dris.elements_h"] <= 0 or v["dris.elements_v"] <= 0:
-            raise ConfigError("dris.elements_h and dris.elements_v must be positive")
         if v["geometry.bob_inner"] >= v["geometry.bob_outer"]:
             raise ConfigError("geometry.bob_inner must be below geometry.bob_outer")
-        try:
-            self.profile()
-        except ValueError as exc:
-            raise ConfigError(f"dris profile: {exc}") from None
-        for key in ("detector.train_size", "detector.eval_size", "detector.n_threshold",
-                    "flow.epochs", "flow.batch_size"):
+        for key in ("dris.elements_h", "dris.elements_v", "detector.train_size",
+                    "detector.eval_size", "detector.n_threshold", "detector.n_samples",
+                    "flow.layers", "flow.hidden", "flow.epochs", "flow.batch_size",
+                    "sjnr.n_symbols"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
-        if not v["flow.learning_rate"] > 0:
-            raise ConfigError("flow.learning_rate must be positive")
+        for key in ("flow.learning_rate", "fading.bandwidth_hz"):
+            if not v[key] > 0:
+                raise ConfigError(f"{key} must be positive")
+        for name, build in (("dris profile", self.profile), ("fading", self.fading)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         if not 0 <= v["detector.mixture_h1"] <= 1:
             raise ConfigError("detector.mixture_h1 must lie in [0, 1]")
         if not 0 < v["detector.alpha"] < 1:

@@ -11,7 +11,7 @@ ratio is calibrated by Monte Carlo against the analytic null.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "DetectorConfig",
     "FittedDetector",
     "DetectionReport",
-    "h0_likelihood",
     "prefilter",
     "fit_unsupervised",
     "fit_supervised",
@@ -45,7 +44,6 @@ class ObservationBatch:
 
     statistics: np.ndarray
     hidden_labels: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.statistics = np.asarray(self.statistics, dtype=float)
@@ -67,8 +65,7 @@ class ObservationBatch:
 
     def shuffled(self, gen: np.random.Generator) -> "ObservationBatch":
         order = gen.permutation(len(self))
-        return ObservationBatch(self.statistics[order], self.hidden_labels[order],
-                                dict(self.provenance))
+        return ObservationBatch(self.statistics[order], self.hidden_labels[order])
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ class FittedDetector:
     flow: flowmod.FlowModel
     null: GammaNull
     threshold: float
-    metadata: dict = field(default_factory=dict)
+    n_train: int | None = None   # statistics the flow was fitted on; None if loaded
 
 
 @dataclass
@@ -109,44 +106,34 @@ class DetectionReport:
     corresponding hypothesis.
     """
 
-    threshold: float
     far: float | None
     far_ci: tuple[float, float] | None
     mdr: float | None
     mdr_ci: tuple[float, float] | None
     n_h0: int
     n_h1: int
-    alpha: float
-    ci_level: float = 0.95
-
-
-def h0_likelihood(null: GammaNull, y) -> np.ndarray | float:
-    """Null-density value exp(log-pdf); log-domain internally."""
-    return np.exp(gamma_h0_logpdf(null, y))
 
 
 def prefilter(batch: ObservationBatch, null: GammaNull, rho: float) -> ObservationBatch:
     """Discard the observations most likely under the null.
 
-    The cut point is the smallest likelihood value v with
-    #{p_t >= v} <= rho * n; samples with p_t >= v are discarded, so
-    ties at the cut are removed deterministically.
+    The cut point is the smallest null log-density v with
+    #{l_t >= v} <= rho * n; samples with l_t >= v are discarded, so ties
+    at the cut are removed deterministically.  Log-densities stay distinct
+    far in the tail, where the density itself underflows to 0.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     n = len(batch)
     if n == 0:
         raise ValueError("prefilter requires a non-empty batch")
-    probs = np.asarray(h0_likelihood(null, batch.statistics))
-    order = np.sort(probs)
+    loglik = gamma_h0_logpdf(null, batch.statistics)
     idx = min(int(np.ceil((1.0 - rho) * n)), n - 1)
-    tau = order[idx]
-    keep = probs < tau
+    tau = np.sort(loglik)[idx]
+    keep = loglik < tau
     if not np.any(keep):
         raise ValueError("prefilter discarded every observation (degenerate split)")
-    return ObservationBatch(batch.statistics[keep], batch.hidden_labels[keep],
-                            {**batch.provenance, "prefilter_rho": rho,
-                             "prefilter_tau": float(tau)})
+    return ObservationBatch(batch.statistics[keep], batch.hidden_labels[keep])
 
 
 def calibrate_threshold(model: flowmod.FlowModel, null: GammaNull, alpha: float,
@@ -175,11 +162,7 @@ def fit_unsupervised(batch: ObservationBatch, null: GammaNull, config: DetectorC
     threshold Monte Carlo.
     """
     retained = prefilter(batch, null, config.rho)
-    model = flowmod.train(retained.statistics, train_config)
-    eta = calibrate_threshold(model, null, config.alpha, config.n_threshold, gen)
-    meta = {"mode": "unsupervised", "alpha": config.alpha, "rho": config.rho,
-            "n_threshold": config.n_threshold, "n_train": len(retained)}
-    return FittedDetector(model, null, eta, meta)
+    return _train_and_calibrate(retained.statistics, null, config, train_config, gen)
 
 
 def fit_supervised(batch: ObservationBatch, null: GammaNull, config: DetectorConfig,
@@ -188,11 +171,15 @@ def fit_supervised(batch: ObservationBatch, null: GammaNull, config: DetectorCon
     """Supervised baseline: the batch is known to be transmit-hypothesis only."""
     if np.any(batch.hidden_labels != 1):
         raise ValueError("supervised fit expects a batch labeled H1 throughout")
-    model = flowmod.train(batch.statistics, train_config)
+    return _train_and_calibrate(batch.statistics, null, config, train_config, gen)
+
+
+def _train_and_calibrate(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
+                         train_config: flowmod.TrainConfig,
+                         gen: np.random.Generator) -> FittedDetector:
+    model = flowmod.train(statistics, train_config)
     eta = calibrate_threshold(model, null, config.alpha, config.n_threshold, gen)
-    meta = {"mode": "supervised", "alpha": config.alpha,
-            "n_threshold": config.n_threshold, "n_train": len(batch)}
-    return FittedDetector(model, null, eta, meta)
+    return FittedDetector(model, null, eta, n_train=len(statistics))
 
 
 def llr(detector: FittedDetector, y) -> np.ndarray | float:
@@ -216,24 +203,20 @@ def classify(detector: FittedDetector, y) -> np.ndarray | bool:
     return out
 
 
-def evaluate(detector: FittedDetector, batch: ObservationBatch,
-             ci_level: float = 0.95) -> DetectionReport:
-    """Empirical FAR/MDR with Wilson intervals on a labeled evaluation batch."""
+def evaluate(detector: FittedDetector, batch: ObservationBatch) -> DetectionReport:
+    """Empirical FAR/MDR with 95% Wilson intervals on a labeled evaluation batch."""
     pred_h1 = classify(detector, batch.statistics)
-    labels = batch.hidden_labels
-    is_h0 = labels == 0
-    is_h1 = labels == 1
+    is_h0 = batch.hidden_labels == 0
+    is_h1 = batch.hidden_labels == 1
     n_h0 = int(is_h0.sum())
     n_h1 = int(is_h1.sum())
     far = far_ci = mdr = mdr_ci = None
     if n_h0:
         k = int(pred_h1[is_h0].sum())
         far = k / n_h0
-        far_ci = binomial_ci(k, n_h0, ci_level)
+        far_ci = binomial_ci(k, n_h0)
     if n_h1:
         k = int((~pred_h1[is_h1]).sum())
         mdr = k / n_h1
-        mdr_ci = binomial_ci(k, n_h1, ci_level)
-    alpha = float(detector.metadata.get("alpha", np.nan))
-    return DetectionReport(detector.threshold, far, far_ci, mdr, mdr_ci,
-                           n_h0, n_h1, alpha, ci_level)
+        mdr_ci = binomial_ci(k, n_h1)
+    return DetectionReport(far, far_ci, mdr, mdr_ci, n_h0, n_h1)

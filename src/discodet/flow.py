@@ -308,6 +308,8 @@ class FlowModel:
         standardizer.
         """
         arr = _as_2d(y)
+        if arr.shape[1] != self.dim:
+            raise ValueError(f"flow expects {self.dim}-dimensional data, got {arr.shape[1]}")
         x = (arr - self.mu_std) / self.sigma_std
         logdet = np.full(arr.shape[0], -np.log(self.sigma_std).sum())
         caches = []
@@ -468,17 +470,20 @@ def save_flow(model: FlowModel, path) -> None:
 
 def load_flow(path) -> FlowModel:
     with open(path, "rb") as fh:
+        def read(n_bytes: int, what: str) -> bytes:
+            raw = fh.read(n_bytes)
+            if len(raw) != n_bytes:
+                raise ValueError(f"{path}: truncated {what}")
+            return raw
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a serialized flow model")
-        dim, n_blocks, n_hidden, enrich = struct.unpack("<IIIB", fh.read(13))
-        hidden = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(n_hidden))
-        mu_std = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
-        sigma_std = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
+        dim, n_blocks, n_hidden, enrich = struct.unpack("<IIIB", read(13, "header"))
+        hidden = struct.unpack(f"<{n_hidden}I", read(4 * n_hidden, "hidden widths"))
+        mu_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
+        sigma_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
         config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))
         model = build_flow(dim, config, mu_std, sigma_std)
-        raw = fh.read(8 * model.theta.size)
-        if len(raw) != 8 * model.theta.size:
-            raise ValueError(f"{path}: truncated parameter data")
+        raw = read(8 * model.theta.size, "parameter data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
         model.theta[:] = np.frombuffer(raw, dtype="<f8")

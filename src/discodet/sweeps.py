@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -23,11 +23,6 @@ from .config import ScenarioConfig
 
 __all__ = ["SweepResult", "run_power_sweep", "run_elements_sweep",
            "run_samples_sweep", "run_validation", "emit_csv", "run_point"]
-
-CSV_HEADER = ("sweep_var,sweep_value,mdr_unsup,mdr_unsup_lo,mdr_unsup_hi,"
-              "mdr_sup,mdr_sup_lo,mdr_sup_hi,mdr_no_dris,mdr_no_dris_lo,"
-              "mdr_no_dris_hi,far_target,far_empirical,sjnr_sim_db,"
-              "sjnr_theory_db,seed")
 
 
 @dataclass
@@ -51,12 +46,12 @@ class SweepResult:
     wall_seconds: float = 0.0
 
 
+_CSV_COLUMNS = [f.name for f in fields(SweepResult) if f.name != "wall_seconds"]
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+
+
 def _db(x: float) -> float:
     return 10.0 * math.log10(x)
-
-
-def _train_seed(seeds: statkit.SeedStream, label: str) -> int:
-    return seeds.derive(label).root_seed
 
 
 def _fit_variant(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
@@ -70,7 +65,7 @@ def _fit_variant(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
     """
     null = theory.GammaNull(dcfg.n_samples, scenario.fading.noise_w)
     t_total = cfg["detector.train_size"]
-    tcfg = cfg.train_config(seed=_train_seed(seeds, f"train-init/{variant}"))
+    tcfg = cfg.train_config(seed=seeds.derive(f"train-init/{variant}").root_seed)
     calib_gen = seeds.child(f"calibrate/{variant}")
     if variant == "unsup":
         n_h1 = int(round(dcfg.mixture_h1 * t_total))
@@ -86,6 +81,35 @@ def _fit_variant(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
                                               scenario, "H1", t_total, dcfg.n_samples)
         return detector.fit_supervised(batch, null, dcfg, tcfg, calib_gen)
     raise ValueError(f"unknown detector variant {variant!r}")
+
+
+def _eval_h0(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario,
+             n_samples: int) -> detector.ObservationBatch:
+    """H0 half of the evaluation batches; it does not depend on the surface."""
+    return channel.gen_willie_statistics(seeds.child("eval/h0"), scenario, "H0",
+                                         cfg["detector.eval_size"], n_samples)
+
+
+def _eval_batch(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, n_samples: int,
+                eval_h0=None) -> detector.ObservationBatch:
+    """H0 statistics (drawn unless given), then as many H1 statistics of
+    ``scenario``: the labeled batch of the sweeps and the CLI ``eval``."""
+    if eval_h0 is None:
+        eval_h0 = _eval_h0(cfg, seeds, scenario, n_samples)
+    n_d = scenario.geometry.n_elements
+    eval_h1 = channel.gen_willie_statistics(seeds.child(f"eval/h1/{n_d}"), scenario, "H1",
+                                            len(eval_h0), n_samples)
+    return detector.ObservationBatch.concatenate([eval_h0, eval_h1])
+
+
+def _fit_and_evaluate(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
+                      variants: tuple[str, ...], eval_h0) -> list[detector.DetectionReport]:
+    """Fit each variant on ``scenario`` with seed labels keyed by its element
+    count (a zero-element point is the no-surface baseline), then evaluate."""
+    n_d = scenario.geometry.n_elements
+    batch = _eval_batch(cfg, seeds, scenario, dcfg.n_samples, eval_h0)
+    fits = (_fit_variant(cfg, seeds.derive(f"fit/{n_d}"), scenario, dcfg, v) for v in variants)
+    return [detector.evaluate(det, batch) for det in fits]
 
 
 def _sjnr_pair(cfg: ScenarioConfig, seeds: statkit.SeedStream, p0_dbm: float,
@@ -118,30 +142,12 @@ def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
     dcfg = cfg.detector_config(n_samples=n_samples)
     scen = cfg.scenario(p0_dbm, n_elements=n_elements)
 
-    # seed labels keyed by element count: a zero-element sweep point takes
-    # exactly the no-surface baseline's code path and randomness, so there
-    # the baseline is the unsupervised detector itself and is not refitted
-    n_d = scen.geometry.n_elements
-    det_unsup = _fit_variant(cfg, seeds.derive(f"fit/{n_d}"), scen, dcfg, "unsup")
-    det_sup = _fit_variant(cfg, seeds.derive(f"fit/{n_d}"), scen, dcfg, "sup")
-
-    n_eval = cfg["detector.eval_size"]
-    eval_h0 = channel.gen_willie_statistics(seeds.child("eval/h0"), scen, "H0",
-                                            n_eval, n_samples)
-    eval_h1 = channel.gen_willie_statistics(seeds.child(f"eval/h1/{n_d}"), scen, "H1",
-                                            n_eval, n_samples)
-    eval_dris = detector.ObservationBatch.concatenate([eval_h0, eval_h1])
-    rep_unsup = detector.evaluate(det_unsup, eval_dris)
-    rep_sup = detector.evaluate(det_sup, eval_dris)
-    if n_d == 0:
-        rep_nodris = rep_unsup
-    else:
-        scen0 = cfg.scenario(p0_dbm, n_elements=0)
-        det_nodris = _fit_variant(cfg, seeds.derive("fit/0"), scen0, dcfg, "unsup")
-        eval_h1_0 = channel.gen_willie_statistics(seeds.child("eval/h1/0"), scen0,
-                                                  "H1", n_eval, n_samples)
-        rep_nodris = detector.evaluate(
-            det_nodris, detector.ObservationBatch.concatenate([eval_h0, eval_h1_0]))
+    eval_h0 = _eval_h0(cfg, seeds, scen, n_samples)
+    rep_unsup, rep_sup = _fit_and_evaluate(cfg, seeds, scen, dcfg, ("unsup", "sup"), eval_h0)
+    rep_nodris = rep_unsup      # with no surface, the baseline is the unsupervised detector
+    if scen.geometry.n_elements > 0:
+        rep_nodris, = _fit_and_evaluate(cfg, seeds, cfg.scenario(p0_dbm, n_elements=0),
+                                        dcfg, ("unsup",), eval_h0)
     sjnr_sim, sjnr_th = _sjnr_pair(cfg, seeds, p0_dbm, n_elements)
 
     return SweepResult(
@@ -193,6 +199,8 @@ def run_samples_sweep(cfg: ScenarioConfig, root_seed: Optional[int] = None) -> l
 # -- CSV ---------------------------------------------------------------------
 
 def _csv_num(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".9g")
@@ -207,14 +215,7 @@ def emit_csv(results: list[SweepResult], path, cfg: Optional[ScenarioConfig] = N
         lines += [f"# {line}" for line in dump_config(cfg).splitlines()]
     lines.append(CSV_HEADER)
     for r in results:
-        row = [r.sweep_var, _csv_num(r.sweep_value)]
-        row += [_csv_num(v) for v in (
-            r.mdr_unsup, r.mdr_unsup_lo, r.mdr_unsup_hi,
-            r.mdr_sup, r.mdr_sup_lo, r.mdr_sup_hi,
-            r.mdr_no_dris, r.mdr_no_dris_lo, r.mdr_no_dris_hi,
-            r.far_target, r.far_empirical, r.sjnr_sim_db, r.sjnr_theory_db)]
-        row.append(str(int(r.seed)))
-        lines.append(",".join(row))
+        lines.append(",".join(_csv_num(getattr(r, name)) for name in _CSV_COLUMNS))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,14 @@ from discodet.config import DEFAULT_CONFIG, parse_config_text
 from discodet.statkit import SeedStream, binomial_ci, sample_gamma
 
 NOISE = DEFAULT_CONFIG.noise_power()
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env(**overrides):
+    """Environment for a CLI subprocess: the absolute package path first,
+    since a relative PYTHONPATH does not resolve under another cwd."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **overrides, "PYTHONPATH": path}
 
 
 def report(num, desc, cond, detail=""):
@@ -198,7 +207,7 @@ def test_criterion_05_far_calibration(surrogate_detector):
     for alpha in (0.01, 0.05, 0.1):
         eta = detector.calibrate_threshold(det.flow, null, alpha, 1_000_000,
                                            stream.child(f"cal/{alpha}"))
-        d = detector.FittedDetector(det.flow, null, eta, {"alpha": alpha})
+        d = detector.FittedDetector(det.flow, null, eta)
         y = sample_gamma(stream.child(f"null-eval/{alpha}"), 5, NOISE,
                          size=100_000)
         far = float(np.mean(detector.classify(d, y)))
@@ -304,7 +313,7 @@ def test_criterion_10_determinism(tmp_path):
             res = subprocess.run(
                 [sys.executable, "-m", "discodet.cli", sub,
                  "--config", str(cfgfile), "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=cli_env())
             assert res.returncode == 0, f"{sub}: {res.stderr}"
             outs.append(out.read_bytes())
         same = outs[0] == outs[1]
@@ -322,8 +331,7 @@ def test_csv_independent_of_blas_threads(tmp_path):
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"sweep-power-{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads}
+        env = cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         res = subprocess.run([sys.executable, "-m", "discodet.cli", "sweep-power",
                               "--config", str(cfgfile), "--out", str(out)],
                              capture_output=True, text=True, env=env)

@@ -9,7 +9,7 @@ from discodet.channel import (DrisProfile, Geometry, LinkFading,
                               cascaded_mc, dbm_to_watts, gen_bob_signals,
                               gen_willie_statistics, los_steering,
                               path_loss_linear, sample_bob_position,
-                              sample_dris_coeffs, sample_rician_g)
+                              sample_rician_g)
 from discodet.config import DEFAULT_CONFIG
 from discodet.statkit import SeedStream
 from discodet.theory import alpha_bar, prop_variance
@@ -101,16 +101,6 @@ class TestSampling:
         geo = small_geometry(4, 4)
         g = sample_rician_g(SeedStream(3).child("ray"), geo, kappa=0.0, size=40_000)
         assert abs(g.mean()) < 0.02
-
-    def test_dris_coeff_frequencies(self):
-        prof = DrisProfile((0.1, 2.0), (0.8, 1.0), (0.3, 0.7))
-        gen = SeedStream(3).child("coef")
-        c = sample_dris_coeffs(gen, prof, 64, size=1000)
-        assert c.shape == (1000, 64)
-        table = prof.coeff_table()
-        frac0 = np.mean(np.isclose(c, table[0]))
-        assert np.all(np.isclose(c[:, :, None], table[None, None, :]).any(axis=2))
-        assert frac0 == pytest.approx(0.3, abs=0.01)
 
 
 DEFAULT_PROFILE = DEFAULT_CONFIG.profile()

@@ -62,14 +62,18 @@ class TestParsing:
          "dris.probabilities = 0.5, 0.25, 0.25", "power of two"),
         ("dris.amplitudes = 0.8, 1.2", "amplitudes"),
         ("dris.phases = 0, 1, 2", "equal length"),
+        ("fading.rician_g = -1", "fading: Rician"),
+        ("fading.bandwidth_hz = 0", "fading.bandwidth_hz"),
     ])
     def test_bad_profile_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config_text(text)
 
     @pytest.mark.parametrize("key", ["detector.train_size", "detector.eval_size",
-                                     "detector.n_threshold", "flow.epochs",
-                                     "flow.batch_size", "flow.learning_rate"])
+                                     "detector.n_threshold", "detector.n_samples",
+                                     "flow.layers", "flow.hidden", "flow.epochs",
+                                     "flow.batch_size", "flow.learning_rate",
+                                     "sjnr.n_symbols"])
     def test_sizes_must_be_positive(self, key):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = 0")

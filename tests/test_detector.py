@@ -7,8 +7,7 @@ from scipy import stats
 from discodet import detector
 from discodet.detector import (DetectorConfig, FittedDetector, ObservationBatch,
                                calibrate_threshold, classify, evaluate,
-                               fit_supervised, fit_unsupervised, h0_likelihood,
-                               llr, prefilter)
+                               fit_supervised, fit_unsupervised, llr, prefilter)
 from discodet.flow import TrainConfig, build_flow, train
 from discodet.statkit import SeedStream, sample_gamma
 from discodet.theory import GammaNull
@@ -69,24 +68,23 @@ class TestPrefilter:
         with pytest.raises(ValueError, match="degenerate"):
             prefilter(batch, null, 0.2)
 
-    def test_provenance_recorded(self):
-        null = GammaNull(1, 1.0)
-        batch = ObservationBatch(np.arange(1.0, 11.0), np.zeros(10, np.int8))
-        kept = prefilter(batch, null, 0.3)
-        assert kept.provenance["prefilter_rho"] == 0.3
-        assert kept.provenance["prefilter_tau"] > 0
-
     def test_bad_rho(self):
         null = GammaNull(1, 1.0)
         batch = ObservationBatch(np.arange(1.0, 5.0), np.zeros(4, np.int8))
         with pytest.raises(ValueError):
             prefilter(batch, null, 1.0)
 
-    def test_likelihood_matches_pdf(self):
-        null = GammaNull(5, 2.0)
-        y = np.linspace(0.5, 30, 50)
-        np.testing.assert_allclose(h0_likelihood(null, y),
-                                   stats.gamma(a=5, scale=2.0).pdf(y), rtol=1e-12)
+    def test_underflowing_likelihoods_ranked(self):
+        # eight of ten statistics lie so far in the tail that their null
+        # density underflows to 0; rho = 0.5 must still keep the five least
+        # null-likely ones
+        y = np.concatenate([np.array([3.0, 6.0]), np.linspace(2000.0, 3000.0, 8)]) * NOISE
+        null = GammaNull(5, NOISE)
+        assert np.all(stats.gamma(a=5, scale=NOISE).pdf(y[2:]) == 0.0)
+        kept = prefilter(ObservationBatch(y, np.zeros(10, np.int8)), null, 0.5)
+        assert len(kept) == math.ceil((1 - 0.5) * 10)
+        least_likely = np.argsort(stats.gamma(a=5, scale=NOISE).logpdf(y))[:5]
+        np.testing.assert_array_equal(np.sort(kept.statistics), np.sort(y[least_likely]))
 
 
 class TestThresholdAndClassify:
@@ -143,8 +141,7 @@ class TestFitting:
     def test_unsupervised_ignores_labels(self):
         stream = SeedStream(4)
         batch = surrogate_batch(stream, 4000)
-        scrambled = ObservationBatch(batch.statistics,
-                                     1 - batch.hidden_labels, dict(batch.provenance))
+        scrambled = ObservationBatch(batch.statistics, 1 - batch.hidden_labels)
         null = GammaNull(5, NOISE)
         d1 = fit_unsupervised(batch, null, self._dcfg(), self._tcfg(),
                               stream.child("cal"))
@@ -176,14 +173,13 @@ class TestFitting:
         batch = surrogate_batch(stream, 4000)
         det = fit_unsupervised(batch, GammaNull(5, NOISE), self._dcfg(),
                                self._tcfg(), stream.child("cal"))
-        assert det.metadata["mode"] == "unsupervised"
-        assert det.metadata["n_train"] == 2000     # rho = 0.5 of 4000
+        assert det.n_train == 2000     # rho = 0.5 of 4000
 
 
 class TestEvaluate:
     def _trivial_detector(self, threshold):
         return FittedDetector(build_flow(1, TrainConfig(seed=0)),
-                              GammaNull(5, NOISE), threshold, {"alpha": 0.05})
+                              GammaNull(5, NOISE), threshold)
 
     def test_always_h1_rates(self):
         stream = SeedStream(5)

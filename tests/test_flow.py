@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,12 +188,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_flow(path)
 
-    def test_truncated(self, tmp_path):
+    # byte offsets in a dim-2 file with one hidden layer: magic (8), the
+    # architecture header (13), one hidden width (4), the standardizer (32)
+    @pytest.mark.parametrize("cut", [12, 8 + 13 + 2, 8 + 13 + 4 + 12, -8],
+                             ids=["header", "hidden", "standardizer", "theta"])
+    def test_truncated(self, tmp_path, cut):
         model = perturbed_model(2)
         path = tmp_path / "model.flow"
         save_flow(model, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
             load_flow(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -287,3 +292,9 @@ class TestNumerics:
         model = build_flow(1, TrainConfig(seed=0))
         with pytest.raises(ValueError):
             nll(model, np.empty((0, 1)))
+
+    def test_width_mismatch_rejected(self):
+        # one statistic per row must not broadcast across four dimensions
+        model = perturbed_model(4)
+        with pytest.raises(ValueError, match="4-dimensional"):
+            model.log_prob(np.ones((10, 1)))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discodet import sweeps
+from discodet import flow, sweeps
 from discodet.config import parse_config_text
 from discodet.statkit import SeedStream
 from discodet.sweeps import (CSV_HEADER, SweepResult, emit_csv,
@@ -178,7 +178,8 @@ class TestCli:
         assert res.returncode == 2
         assert "dris profile" in res.stderr
 
-    @pytest.mark.parametrize("line", ["flow.batch_size = 0", "detector.mixture_h1 = 1.5"])
+    @pytest.mark.parametrize("line", ["flow.batch_size = 0", "detector.mixture_h1 = 1.5",
+                                      "flow.layers = 0", "flow.hidden = -1"])
     def test_bad_training_setting_exits_2(self, tmp_path, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -217,3 +218,12 @@ class TestCli:
                       tmp_path)
         assert res.returncode == 0, res.stderr
         assert "FAR" in res.stdout and "MDR" in res.stdout
+
+    def test_eval_rejects_multidimensional_model(self, tmp_path):
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CONFIG)
+        model = tmp_path / "dim2.flow"
+        flow.save_flow(flow.build_flow(2, flow.TrainConfig(seed=0)), model)
+        res = run_cli(["eval", "--config", str(cfgfile), "--model", str(model)], tmp_path)
+        assert res.returncode == 1
+        assert "error:" in res.stderr and "2-dimensional" in res.stderr
