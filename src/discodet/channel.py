@@ -72,8 +72,10 @@ class Geometry:
     def __post_init__(self):
         if self.grid_h < 0 or self.grid_v < 0:
             raise ValueError("element grid counts must be non-negative")
-        if self.bob_inner > self.bob_outer:
-            raise ValueError("annulus inner radius must not exceed the outer radius")
+        if not 0 <= self.bob_inner <= self.bob_outer:
+            raise ValueError("annulus radii must satisfy 0 <= inner <= outer")
+        if not (self.wavelength > 0 and self.element_spacing > 0):
+            raise ValueError("wavelength and element spacing must be positive")
 
     @property
     def n_elements(self) -> int:
@@ -125,11 +127,11 @@ class DrisProfile:
             raise ValueError("phases, amplitudes, and probabilities must have equal length")
         if k == 0 or (k & (k - 1)) != 0:
             raise ValueError(f"profile size must be a power of two (b-bit quantization), got {k}")
-        if any(p < 0 for p in self.probabilities):
+        if not all(p >= 0 for p in self.probabilities):
             raise ValueError("probabilities must be non-negative")
-        if abs(sum(self.probabilities) - 1.0) > 1e-12:
+        if not abs(sum(self.probabilities) - 1.0) <= 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        if any(a < 0 or a > 1 for a in self.amplitudes):
+        if not all(0 <= a <= 1 for a in self.amplitudes):
             raise ValueError("amplitudes must lie in [0, 1]")
 
     @property
@@ -158,9 +160,9 @@ class LinkFading:
     noise_b: float = 1.8e-15
 
     def __post_init__(self):
-        if self.rician_g < 0:
+        if not self.rician_g >= 0:
             raise ValueError("Rician factor must be non-negative")
-        if self.noise_w <= 0 or self.noise_b <= 0:
+        if not (self.noise_w > 0 and self.noise_b > 0):
             raise ValueError("noise powers must be positive")
 
 
@@ -190,23 +192,22 @@ def path_loss_linear(model: PathLoss, d) -> np.ndarray | float:
     return float(out) if np.ndim(d) == 0 else out
 
 
-def sample_bob_position(gen: np.random.Generator, geometry: Geometry, size=None):
-    """Area-uniform positions inside the receiver annulus.
+def sample_bob_position(gen: np.random.Generator, geometry: Geometry, size: int):
+    """``(size, 3)`` area-uniform positions inside the receiver annulus.
 
     Radius = sqrt(u * (r2^2 - r1^2) + r1^2) with u uniform, angle uniform
     in [0, 2pi); height equals the annulus center height.
     """
     c = np.asarray(geometry.bob_center, dtype=float)
     r1, r2 = geometry.bob_inner, geometry.bob_outer
-    n = 1 if size is None else size
-    u = gen.random(n)
-    theta = gen.random(n) * 2 * np.pi
+    u = gen.random(size)
+    theta = gen.random(size) * 2 * np.pi
     r = np.sqrt(u * (r2 * r2 - r1 * r1) + r1 * r1)
-    pos = np.empty((n, 3))
+    pos = np.empty((size, 3))
     pos[:, 0] = c[0] + r * np.cos(theta)
     pos[:, 1] = c[1] + r * np.sin(theta)
     pos[:, 2] = c[2]
-    return pos[0] if size is None else pos
+    return pos
 
 
 def los_steering(geometry: Geometry) -> np.ndarray:
@@ -218,18 +219,17 @@ def los_steering(geometry: Geometry) -> np.ndarray:
 
 
 def sample_rician_g(gen: np.random.Generator, geometry: Geometry, kappa: float,
-                    size=None) -> np.ndarray:
-    """Transmitter-to-surface small-scale vector with Rician factor kappa.
+                    size: int) -> np.ndarray:
+    """Transmitter-to-surface small-scale vectors with Rician factor kappa.
 
-    Per-entry second moment is 1 for every kappa >= 0.  With ``size`` set,
-    returns ``(size, N_D)`` independent interval realizations sharing the
-    deterministic LOS component.
+    Returns ``(size, N_D)`` independent interval realizations sharing the
+    deterministic LOS component; the per-entry second moment is 1 for
+    every kappa >= 0.
     """
     if kappa < 0:
         raise ValueError("Rician factor must be non-negative")
     los = geometry.steering
-    shape = (geometry.n_elements,) if size is None else (size, geometry.n_elements)
-    nlos = sample_cgauss(gen, 0.0, 1.0, size=shape)
+    nlos = sample_cgauss(gen, 0.0, 1.0, size=(size, geometry.n_elements))
     return math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(1 / (1 + kappa)) * nlos
 
 
@@ -287,17 +287,14 @@ def _cascade(gen: np.random.Generator, geometry: Geometry, fading: LinkFading,
         / np.sqrt(loss_g * np.reshape(loss_i, (-1, 1)))
 
 
-def _chunk_sizes(total: int, chunk: int):
-    done = 0
-    while done < total:
-        take = min(chunk, total - done)
-        yield take
-        done += take
-
-
-def _mc_chunk(n: int, per_draw: int) -> int:
-    # keep scratch arrays around a few hundred MB at N_D = 2048
-    return max(1, min(n, int(4e6 / max(per_draw, 1))))
+def _chunked(total: int, per_item: int, draw) -> np.ndarray:
+    """Concatenation of ``draw(k)`` over consecutive chunks of about
+    4e6 / ``per_item`` of ``total`` items (a few hundred MB of scratch at
+    N_D = 2048).  The chunk boundaries fix the order of the random draws,
+    so they are part of every stream.  ``total = 0`` draws one empty chunk."""
+    chunk = max(1, int(4e6 / max(per_item, 1)))
+    return np.concatenate([draw(min(chunk, total - done))
+                           for done in range(0, max(total, 1), chunk)])
 
 
 def cascaded_mc(gen: np.random.Generator, geometry: Geometry, fading: LinkFading,
@@ -317,12 +314,8 @@ def cascaded_mc(gen: np.random.Generator, geometry: Geometry, fading: LinkFading
     else:
         d_hop = geometry.distance(geometry.dris_center, bob_position)
         loss_i = path_loss_linear(fading.dris_bob, d_hop)
-    out = np.empty(n_draws, dtype=complex)
-    pos = 0
-    for take in _chunk_sizes(n_draws, _mc_chunk(n_draws, geometry.n_elements)):
-        out[pos : pos + take] = _cascade(gen, geometry, fading, profile, loss_i, take, 1)[:, 0]
-        pos += take
-    return out
+    return _chunked(n_draws, geometry.n_elements,
+                    lambda k: _cascade(gen, geometry, fading, profile, loss_i, k, 1)[:, 0])
 
 
 def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothesis: str,
@@ -352,20 +345,19 @@ def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothes
         return ObservationBatch(stats.sum(axis=1), labels)
 
     geo, fad = scenario.geometry, scenario.fading
-    nd = geo.n_elements
     loss_d_w = path_loss_linear(fad.alice_willie, geo.distance(geo.alice, geo.willie))
     loss_i_w = path_loss_linear(fad.dris_willie, geo.distance(geo.dris_center, geo.willie))
-    stats = np.empty(n_intervals)
-    pos = 0
-    for take in _chunk_sizes(n_intervals, _mc_chunk(n_intervals, n_samples * max(nd, 1))):
-        h_d = sample_cgauss(gen, 0.0, 1.0, size=take) / math.sqrt(loss_d_w)
+
+    def draw(k: int) -> np.ndarray:
+        h_d = sample_cgauss(gen, 0.0, 1.0, size=k) / math.sqrt(loss_d_w)
         h_tot = h_d[:, None] + _cascade(gen, geo, fad, scenario.profile, loss_i_w,
-                                        take, n_samples)
-        s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(take, n_samples))
-        noise = sample_cgauss(gen, 0.0, noise_var, size=(take, n_samples))
+                                        k, n_samples)
+        s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(k, n_samples))
+        noise = sample_cgauss(gen, 0.0, noise_var, size=(k, n_samples))
         y = h_tot * s + noise
-        stats[pos : pos + take] = np.sum(np.abs(y) ** 2, axis=1)
-        pos += take
+        return np.sum(np.abs(y) ** 2, axis=1)
+
+    stats = _chunked(n_intervals, n_samples * max(geo.n_elements, 1), draw)
     return ObservationBatch(stats, labels)
 
 
@@ -379,28 +371,23 @@ def gen_bob_signals(gen: np.random.Generator, scenario: Scenario, n_symbols: int
     if n_symbols < 1:
         raise ValueError("need at least one symbol")
     geo, fad = scenario.geometry, scenario.fading
-    nd = geo.n_elements
     m = scenario.m_symbols
     n_intervals = (n_symbols + m - 1) // m
-    fixed_pos = scenario.bob_position
 
-    sig = np.empty(n_intervals * m)
-    jam = np.empty(n_intervals * m)
-    pos = 0
-    for take in _chunk_sizes(n_intervals, _mc_chunk(n_intervals, m * max(nd, 1))):
-        if fixed_pos is None:
-            bpos = sample_bob_position(gen, geo, size=take)
+    def draw(k: int) -> np.ndarray:
+        if scenario.bob_position is None:
+            bpos = sample_bob_position(gen, geo, size=k)
         else:
-            bpos = np.broadcast_to(np.asarray(fixed_pos, float), (take, 3))
+            bpos = np.broadcast_to(np.asarray(scenario.bob_position, float), (k, 3))
         d_ab = np.linalg.norm(bpos - np.asarray(geo.alice, float), axis=1)
         d_db = np.linalg.norm(bpos - np.asarray(geo.dris_center, float), axis=1)
         loss_d_b = path_loss_linear(fad.alice_bob, d_ab)
         loss_i_b = path_loss_linear(fad.dris_bob, d_db)
-        h_d = sample_cgauss(gen, 0.0, 1.0, size=take) / np.sqrt(loss_d_b)
-        h_jam = _cascade(gen, geo, fad, scenario.profile, loss_i_b, take, m)
-        s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(take, m))
-        chunk_n = take * m
-        sig[pos : pos + chunk_n] = (np.abs(h_d[:, None] * s) ** 2).ravel()
-        jam[pos : pos + chunk_n] = (np.abs(h_jam * s) ** 2).ravel()
-        pos += chunk_n
-    return sig[:n_symbols], jam[:n_symbols], fad.noise_b
+        h_d = sample_cgauss(gen, 0.0, 1.0, size=k) / np.sqrt(loss_d_b)
+        h_jam = _cascade(gen, geo, fad, scenario.profile, loss_i_b, k, m)
+        s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(k, m))
+        return np.stack([np.abs(h_d[:, None] * s) ** 2, np.abs(h_jam * s) ** 2],
+                        axis=-1).reshape(-1, 2)
+
+    sig, jam = _chunked(n_intervals, m * max(geo.n_elements, 1), draw)[:n_symbols].T
+    return sig, jam, fad.noise_b

@@ -115,6 +115,11 @@ class ScenarioConfig:
 
     def validate(self):
         v = dict(self.values)
+        for key, (parser, _) in _SCHEMA.items():
+            if parser in (float, _parse_float_list):
+                floats = v[key] if parser is _parse_float_list else (v[key],)
+                if not all(map(math.isfinite, floats)):
+                    raise ConfigError(f"{key} must be finite")
         if v["geometry.bob_inner"] >= v["geometry.bob_outer"]:
             raise ConfigError("geometry.bob_inner must be below geometry.bob_outer")
         for key in ("dris.elements_h", "dris.elements_v", "detector.train_size",
@@ -126,7 +131,8 @@ class ScenarioConfig:
         for key in ("flow.learning_rate", "fading.bandwidth_hz"):
             if not v[key] > 0:
                 raise ConfigError(f"{key} must be positive")
-        for name, build in (("dris profile", self.profile), ("fading", self.fading)):
+        for name, build in (("dris profile", self.profile), ("fading", self.fading),
+                            ("geometry", self.geometry)):
             try:
                 build()
             except ValueError as exc:

@@ -50,7 +50,7 @@ class ObservationBatch:
         self.hidden_labels = np.asarray(self.hidden_labels, dtype=np.int8)
         if self.statistics.shape != self.hidden_labels.shape:
             raise ValueError("statistics and hidden_labels must have equal length")
-        if np.any(self.statistics < 0):
+        if not np.all(self.statistics >= 0):
             raise ValueError("power statistics must be non-negative")
 
     def __len__(self) -> int:

@@ -65,7 +65,8 @@ def sample_cgauss(gen: np.random.Generator, mean: complex, variance: float, size
     """Draw circularly-symmetric complex Gaussian samples.
 
     Real and imaginary parts are independent with variance ``variance/2``
-    each, so E|x - mean|^2 = variance.
+    each, so E|x - mean|^2 = variance.  An array draw takes every real
+    part from the stream first, then every imaginary part.
     """
     if variance < 0:
         raise ValueError(f"variance must be non-negative, got {variance}")
@@ -73,9 +74,13 @@ def sample_cgauss(gen: np.random.Generator, mean: complex, variance: float, size
     if size is None:
         re, im = gen.standard_normal(2)
         return complex(mean + scale * (re + 1j * im))
-    re = gen.standard_normal(size)
-    im = gen.standard_normal(size)
-    return mean + scale * (re + 1j * im)
+    out = np.empty(size, dtype=complex)
+    out.real = gen.standard_normal(size)
+    out.imag = gen.standard_normal(size)
+    out *= scale
+    if mean:
+        out += mean
+    return out
 
 
 def sample_gamma(gen: np.random.Generator, shape: int, scale: float, size=None):

@@ -57,6 +57,14 @@ class TestGeometry:
                      bob_inner=5.0, bob_outer=4.0)
 
 
+class TestLinkFading:
+    @pytest.mark.parametrize("field,value", [("rician_g", -1.0), ("rician_g", math.nan),
+                                             ("noise_w", 0.0), ("noise_b", math.nan)])
+    def test_validation(self, field, value):
+        with pytest.raises(ValueError):
+            LinkFading(**{field: value})
+
+
 class TestDrisProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -65,6 +73,10 @@ class TestDrisProfile:
             DrisProfile((0.0, 1.0), (1.0, 1.1), (0.5, 0.5))
         with pytest.raises(ValueError):
             DrisProfile((0.0, 1.0), (1.0, 1.0), (0.6, 0.6))
+        with pytest.raises(ValueError):
+            DrisProfile((0.0, 1.0), (1.0, math.nan), (0.5, 0.5))
+        with pytest.raises(ValueError):
+            DrisProfile((0.0, 1.0), (1.0, 1.0), (math.nan, 0.5))
 
     def test_bits_and_table(self):
         prof = DrisProfile((0.0, math.pi), (0.5, 1.0), (0.25, 0.75))
@@ -213,6 +225,11 @@ class TestWillieStatistics:
         a = gen_willie_statistics(SeedStream(6).child("d"), scen, "H1", 500, 5)
         b = gen_willie_statistics(SeedStream(6).child("d"), scen, "H1", 500, 5)
         np.testing.assert_array_equal(a.statistics, b.statistics)
+
+    def test_zero_intervals_empty_batch(self):
+        scen = DEFAULT_CONFIG.scenario(-7.0, n_elements=64)
+        batch = gen_willie_statistics(SeedStream(6).child("z"), scen, "H1", 0, 5)
+        assert len(batch) == 0 and batch.statistics.dtype == float
 
     def test_errors(self):
         scen = DEFAULT_CONFIG.scenario(5.0)

@@ -64,6 +64,12 @@ class TestParsing:
         ("dris.phases = 0, 1, 2", "equal length"),
         ("fading.rician_g = -1", "fading: Rician"),
         ("fading.bandwidth_hz = 0", "fading.bandwidth_hz"),
+        ("fading.rician_g = nan", "fading.rician_g must be finite"),
+        ("geometry.wavelength = nan", "geometry.wavelength must be finite"),
+        ("sweep.powers_dbm = -7, nan", "sweep.powers_dbm must be finite"),
+        ("geometry.wavelength = 0", "geometry: wavelength"),
+        ("geometry.element_spacing = 0", "geometry: wavelength and element spacing"),
+        ("geometry.bob_inner = -5", "geometry: annulus radii"),
     ])
     def test_bad_profile_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):

@@ -34,6 +34,8 @@ class TestObservationBatch:
             ObservationBatch(np.array([1.0, -2.0]), np.array([1, 1]))
         with pytest.raises(ValueError):
             ObservationBatch(np.array([1.0]), np.array([1, 0]))
+        with pytest.raises(ValueError):
+            ObservationBatch(np.array([1.0, np.nan]), np.array([1, 1]))
 
     def test_concat_and_shuffle(self):
         a = ObservationBatch(np.array([1.0, 2.0]), np.array([0, 0]))

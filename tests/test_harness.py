@@ -132,10 +132,25 @@ class TestValidationSuite:
         checks = sweeps.run_validation(cfg, fast=True)
         failed = [c.name for c in checks if not c.passed]
         assert failed == [], f"validation failures: {failed}"
+        assert all(type(c.passed) is bool for c in checks)
         names = {c.name for c in checks}
         assert {"cascade_variance", "h0_gamma_ks", "flow_gradients",
                 "flow_roundtrip", "far_calibration",
                 "surrogate_np_oracle"} <= names
+
+    def test_gradient_check_rejects_a_wrong_gradient(self, monkeypatch):
+        model = flow.build_flow(2, flow.TrainConfig(seed=3, n_blocks=2, hidden=(8,)))
+        batch = SeedStream(4).child("grad").standard_normal((6, 2))
+        assert sweeps._gradient_check(model, batch)[0]
+        grad_nll = flow.grad_nll
+
+        def wrong_grad_nll(model, batch):
+            out = grad_nll(model, batch)
+            model.grad[3] += 0.5
+            return out
+
+        monkeypatch.setattr(flow, "grad_nll", wrong_grad_nll)
+        assert not sweeps._gradient_check(model, batch)[0]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -186,6 +201,13 @@ class TestCli:
         res = run_cli(["sweep-elements", "--config", str(bad)], tmp_path)
         assert res.returncode == 2
         assert "config error" in res.stderr and line.split()[0] in res.stderr
+
+    def test_bad_geometry_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("geometry.wavelength = 0\n")
+        res = run_cli(["sweep-power", "--config", str(bad)], tmp_path)
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "wavelength" in res.stderr
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)

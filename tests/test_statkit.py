@@ -63,6 +63,16 @@ class TestSampleCgauss:
         with pytest.raises(ValueError):
             sample_cgauss(SeedStream(1).child("c"), 0.0, -1.0)
 
+    def test_stream_layout_real_then_imaginary(self):
+        # every real part is drawn before any imaginary part; the channel
+        # streams depend on this order
+        x = sample_cgauss(SeedStream(3).child("l"), 1.0 - 2.0j, 3.0, size=(4, 5))
+        gen = SeedStream(3).child("l")
+        re = gen.standard_normal((4, 5))
+        im = gen.standard_normal((4, 5))
+        np.testing.assert_array_equal(x.real, 1.0 + math.sqrt(1.5) * re)
+        np.testing.assert_array_equal(x.imag, -2.0 + math.sqrt(1.5) * im)
+
 
 class TestSampleGamma:
     def test_distribution(self):
