@@ -81,7 +81,6 @@ _SCHEMA: dict[str, tuple] = {
     "flow.learning_rate": (float, 2e-4),
     "flow.epochs": (int, 200),
     "flow.batch_size": (int, 256),
-    "flow.enrichment": (str, "auto"),
     "sweep.powers_dbm": (_parse_float_list, (-10.0, -7.0, -4.0, -1.0, 2.0, 5.0, 8.0)),
     "sweep.elements": (_parse_int_list, (0, 256, 1024, 2048)),
     "sweep.samples": (_parse_int_list, (1, 3, 5, 10, 20)),
@@ -97,7 +96,6 @@ _CHOICES = {
     "fading.link_dris_bob": ("los", "nlos"),
     "fading.link_alice_willie": ("los", "nlos"),
     "fading.link_alice_bob": ("los", "nlos"),
-    "flow.enrichment": ("auto", "on", "off"),
     "sjnr.bob_mode": ("center", "annulus"),
 }
 
@@ -209,10 +207,9 @@ class ScenarioConfig:
             bob_position=bob_position,
         )
 
-    def detector_config(self, alpha: float | None = None,
-                        n_samples: int | None = None) -> DetectorConfig:
+    def detector_config(self, n_samples: int | None = None) -> DetectorConfig:
         return DetectorConfig(
-            alpha=self["detector.alpha"] if alpha is None else alpha,
+            alpha=self["detector.alpha"],
             rho=self["detector.rho"],
             n_samples=self["detector.n_samples"] if n_samples is None else n_samples,
             n_threshold=self["detector.n_threshold"],
@@ -220,8 +217,6 @@ class ScenarioConfig:
         )
 
     def train_config(self, seed: int) -> TrainConfig:
-        enrich_raw = self["flow.enrichment"]
-        enrichment = None if enrich_raw == "auto" else enrich_raw == "on"
         return TrainConfig(
             learning_rate=self["flow.learning_rate"],
             epochs=self["flow.epochs"],
@@ -229,7 +224,6 @@ class ScenarioConfig:
             seed=seed,
             n_blocks=self["flow.layers"],
             hidden=(self["flow.hidden"],),
-            enrichment=enrichment,
         )
 
     def with_overrides(self, **overrides) -> "ScenarioConfig":

@@ -18,6 +18,7 @@ g' > 0.  With a = 0 the block reduces to the plain affine transform.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -136,7 +137,7 @@ class MadeNetwork:
         return shapes + [(widths[-1], dim), (dim,)] * 2
 
     def forward(self, y: np.ndarray, need_cache: bool = False):
-        h = y
+        h = y[:1] if self.dim == 1 else y   # a 1-D conditioner is constant: one row
         acts = [h]
         for w, b, mask in zip(self.weights, self.biases, self.masks):
             h = np.tanh(h @ (w * mask) + b)
@@ -148,6 +149,8 @@ class MadeNetwork:
         return mu, s
 
     def backward(self, acts: list[np.ndarray], dmu: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        if self.dim == 1:   # adjoint of broadcasting the one-row conditioner
+            dmu, ds = dmu.sum(axis=0, keepdims=True), ds.sum(axis=0, keepdims=True)
         h_last = acts[-1]
         self.g_w_mu += (h_last.T @ dmu) * self.out_mask
         self.g_b_mu += dmu.sum(axis=0)
@@ -196,8 +199,8 @@ class FlowBlock:
         a = np.tanh(self.ea_raw) / b
         return a, b
 
-    def forward(self, x: np.ndarray, need_cache: bool = False):
-        """Density-direction transform; returns (z, per-sample logdet[, cache])."""
+    def forward(self, x: np.ndarray):
+        """Density-direction transform; returns (z, logdet, cache)."""
         x_in = x[:, ::-1] if self.reverse else x
         mu, s_raw, acts = self.made.forward(x_in, need_cache=True)
         s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
@@ -212,10 +215,7 @@ class FlowBlock:
         else:
             t = gp = None
             z = u
-        if need_cache:
-            cache = (x_in, mu, s_raw, s, u, t, gp, acts)
-            return z, logdet, cache
-        return z, logdet
+        return z, logdet, (x_in, mu, s_raw, s, u, t, gp, acts)
 
     def backward(self, cache, dz: np.ndarray, c_logdet: float) -> np.ndarray:
         """Reverse-mode through the block.
@@ -314,15 +314,10 @@ class FlowModel:
         logdet = np.full(arr.shape[0], -np.log(self.sigma_std).sum())
         caches = []
         for blk in self.blocks:
-            if need_caches:
-                x, ld, cache = blk.forward(x, need_cache=True)
-                caches.append(cache)
-            else:
-                x, ld = blk.forward(x)
+            x, ld, cache = blk.forward(x)
             logdet = logdet + ld
-        if need_caches:
-            return x, logdet, caches
-        return x, logdet
+            caches.append(cache)
+        return (x, logdet, caches) if need_caches else (x, logdet)
 
     def log_prob(self, y) -> np.ndarray:
         z, logdet = self.forward(y)
@@ -470,21 +465,24 @@ def save_flow(model: FlowModel, path) -> None:
 
 def load_flow(path) -> FlowModel:
     with open(path, "rb") as fh:
-        def read(n_bytes: int, what: str) -> bytes:
-            raw = fh.read(n_bytes)
-            if len(raw) != n_bytes:
+        size = os.fstat(fh.fileno()).st_size
+        def read(n_bytes: int, what: str) -> bytes:   # sizes checked before allocating
+            if n_bytes > size - fh.tell():
                 raise ValueError(f"{path}: truncated {what}")
-            return raw
+            return fh.read(n_bytes)
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a serialized flow model")
         dim, n_blocks, n_hidden, enrich = struct.unpack("<IIIB", read(13, "header"))
+        if dim == 0:
+            raise ValueError(f"{path}: zero-dimensional flow")
         hidden = struct.unpack(f"<{n_hidden}I", read(4 * n_hidden, "hidden widths"))
         mu_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
         sigma_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
-        config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))
-        model = build_flow(dim, config, mu_std, sigma_std)
-        raw = read(8 * model.theta.size, "parameter data")
+        shapes = FlowBlock.param_shapes(dim, hidden, bool(enrich))
+        raw = read(8 * n_blocks * sum(math.prod(s) for s in shapes), "parameter data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
-        model.theta[:] = np.frombuffer(raw, dtype="<f8")
+    config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))
+    model = build_flow(dim, config, mu_std, sigma_std)
+    model.theta[:] = np.frombuffer(raw, dtype="<f8")
     return model

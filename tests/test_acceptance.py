@@ -247,6 +247,23 @@ def test_criterion_07_unsup_vs_sup():
            ok, "; ".join(details))
 
 
+def test_unsaturated_surface_points(sweep_cfg):
+    """Low powers where the surface MDRs lie inside (0, 1), so the unsup/sup
+    gap and the P0 trend compare quantities that can differ."""
+    root = SeedStream(sweep_cfg["seeds.root"])
+    rs = [sweeps.run_point(sweep_cfg, root, "p0_dbm", p0, p0, 2048, 5)
+          for p0 in (-33.0, -30.0, -27.0)]
+    inside = all(0 < getattr(r, f"mdr_{v}_lo") and getattr(r, f"mdr_{v}_hi") < 1
+                 for r in rs for v in ("unsup", "sup"))
+    gap = all(abs(r.mdr_unsup - r.mdr_sup) <= 0.05 for r in rs)
+    trend = all(no_significant_increase(mdr_series(rs, v)) for v in ("unsup", "sup"))
+    report("7/9 (unsaturated)", "surface MDRs inside (0, 1), |MDR_unsup - MDR_sup| "
+           "<= 0.05 and non-increasing in P0 at -33, -30 and -27 dBm",
+           inside and gap and trend,
+           "; ".join(f"{r.sweep_value:g} dBm: unsup {r.mdr_unsup:.4f}, sup {r.mdr_sup:.4f}"
+                     for r in rs))
+
+
 def test_criterion_08_sjnr_anchors():
     cfg = DEFAULT_CONFIG
     stream = SeedStream(1008)

@@ -32,8 +32,10 @@ class TestParsing:
         assert cfg["flow.epochs"] == 17
 
     def test_unknown_key_names_line(self):
-        with pytest.raises(ConfigError, match="2.*unknown key"):
-            parse_config_text("\nnope.key = 1\n")
+        # flow.enrichment was a setting once; it is now unknown like any other
+        for key in ("nope.key = 1", "flow.enrichment = on"):
+            with pytest.raises(ConfigError, match="2.*unknown key"):
+                parse_config_text(f"\n{key}\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -158,8 +160,3 @@ class TestBuilders:
             DEFAULT_CONFIG.with_overrides(not__a__key=1)
         with pytest.raises(ConfigError):
             DEFAULT_CONFIG.with_overrides(detector__alpha=1.5)
-
-    def test_train_config_enrichment_modes(self):
-        assert DEFAULT_CONFIG.train_config(seed=1).enrichment is None
-        cfg = parse_config_text("flow.enrichment = off")
-        assert cfg.train_config(seed=1).enrichment is False

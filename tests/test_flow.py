@@ -1,5 +1,7 @@
 import math
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,29 @@ class TestAutoregressive:
         mu_a, s_a = made.forward(np.array([[0.3]]))
         mu_b, s_b = made.forward(np.array([[-5.0]]))
         assert mu_a == mu_b and s_a == s_b
+
+
+class TestConstantConditioner:
+    """A 1-D block's conditioner has no inputs, so the MADE is evaluated on
+    one row per batch; with more dimensions it must see every row."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rows_evaluated(self, dim, monkeypatch):
+        model = perturbed_model(dim, enrichment=True)
+        rows = []
+        forward = flow.MadeNetwork.forward
+
+        def spy(made, y, *args, **kwargs):
+            out = forward(made, y, *args, **kwargs)
+            rows.append(out[0].shape[0])
+            return out
+        monkeypatch.setattr(flow.MadeNetwork, "forward", spy)
+        y = np.random.default_rng(13).standard_normal((1000, dim))
+        for run, n in ((model.log_prob, 1000), (lambda a: grad_nll(model, a[:256]), 256),
+                       (model.inverse, 1000)):
+            rows.clear()
+            run(y)
+            assert rows and set(rows) == {1 if dim == 1 else n}
 
 
 class TestGradients:
@@ -206,6 +231,27 @@ class TestSerialization:
         save_flow(model, path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="trailing"):
+            load_flow(path)
+
+    def test_header_checked_before_allocation(self, tmp_path):
+        # the header claims a 2**18-wide hidden layer with no parameters
+        # behind it: rejected without building the model
+        path = tmp_path / "model.flow"
+        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 1, 5, 1, 1, 2**18)
+                         + np.array([0.0, 1.0]).astype("<f8").tobytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"{path}: truncated parameter")):
+                load_flow(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_zero_dim_rejected(self, tmp_path):
+        path = tmp_path / "model.flow"
+        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIB", 0, 1, 0, 0))
+        with pytest.raises(ValueError, match="zero-dimensional"):
             load_flow(path)
 
     @pytest.mark.parametrize("dim,hidden", [(1, (8,)), (3, (8, 6))])
