@@ -16,8 +16,7 @@ from .detector import (DetectionReport, DetectorConfig, FittedDetector,
                        fit_unsupervised, llr, prefilter)
 from .flow import FlowModel, TrainConfig, load_flow, save_flow, train
 from .statkit import SeedStream, binomial_ci, empirical_quantile, sample_gamma
-from .sweeps import (SweepResult, emit_csv, run_elements_sweep, run_power_sweep,
-                     run_samples_sweep, run_validation)
+from .sweeps import SweepResult, emit_csv, run_sweep, run_validation
 from .theory import (GammaNull, alpha_bar, gamma_h0_logpdf, prop_variance,
                      sjnr_empirical, sjnr_theory)
 
@@ -34,8 +33,7 @@ __all__ = [
     "prefilter",
     "FlowModel", "TrainConfig", "load_flow", "save_flow", "train",
     "SeedStream", "binomial_ci", "empirical_quantile", "sample_gamma",
-    "SweepResult", "emit_csv", "run_elements_sweep", "run_power_sweep",
-    "run_samples_sweep", "run_validation",
+    "SweepResult", "emit_csv", "run_sweep", "run_validation",
     "GammaNull", "alpha_bar", "gamma_h0_logpdf", "prop_variance",
     "sjnr_empirical", "sjnr_theory",
     "__version__",

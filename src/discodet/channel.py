@@ -298,22 +298,14 @@ def _chunked(total: int, per_item: int, draw) -> np.ndarray:
 
 
 def cascaded_mc(gen: np.random.Generator, geometry: Geometry, fading: LinkFading,
-                profile: DrisProfile, target: str, n_draws: int,
-                bob_position=None) -> np.ndarray:
-    """Independent Monte-Carlo draws of the cascaded channel (one per draw).
+                profile: DrisProfile, n_draws: int) -> np.ndarray:
+    """Independent Monte-Carlo draws of the cascaded channel at the warden
+    (one per draw).
 
     Used to validate the Gaussian-limit variance N_D * abar / (L_g * L_I).
     """
-    if target not in ("willie", "bob"):
-        raise ValueError(f"target must be 'willie' or 'bob', got {target!r}")
-    if bob_position is None:
-        bob_position = geometry.bob_center
-    if target == "willie":
-        d_hop = geometry.distance(geometry.dris_center, geometry.willie)
-        loss_i = path_loss_linear(fading.dris_willie, d_hop)
-    else:
-        d_hop = geometry.distance(geometry.dris_center, bob_position)
-        loss_i = path_loss_linear(fading.dris_bob, d_hop)
+    loss_i = path_loss_linear(fading.dris_willie,
+                              geometry.distance(geometry.dris_center, geometry.willie))
     return _chunked(n_draws, geometry.n_elements,
                     lambda k: _cascade(gen, geometry, fading, profile, loss_i, k, 1)[:, 0])
 

@@ -78,9 +78,9 @@ def _cmd_validate(args) -> int:
     return 1 if n_fail else 0
 
 
-def _run_sweep(args, runner) -> int:
+def _run_sweep(args, sweep_var: str) -> int:
     cfg = _load_config(args)
-    results = runner(cfg)
+    results = sweeps.run_sweep(cfg, sweep_var)
     sweeps.emit_csv(results, args.out, cfg)
     total = sum(r.wall_seconds for r in results)
     print(f"wrote {len(results)} rows to {args.out} ({total:.1f}s)")
@@ -136,9 +136,9 @@ def _cmd_dump_config(args) -> int:
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "sweep-power": lambda a: _run_sweep(a, sweeps.run_power_sweep),
-    "sweep-elements": lambda a: _run_sweep(a, sweeps.run_elements_sweep),
-    "sweep-samples": lambda a: _run_sweep(a, sweeps.run_samples_sweep),
+    "sweep-power": lambda a: _run_sweep(a, "p0_dbm"),
+    "sweep-elements": lambda a: _run_sweep(a, "n_elements"),
+    "sweep-samples": lambda a: _run_sweep(a, "n_samples"),
     "train": _cmd_train,
     "eval": _cmd_eval,
     "dump-config": _cmd_dump_config,

@@ -143,6 +143,10 @@ class ScenarioConfig:
             raise ConfigError("detector.rho must lie in (0, 1)")
         if v["detector.n_samples"] > v["detector.m_symbols"]:
             raise ConfigError("detector.n_samples must not exceed detector.m_symbols")
+        if not all(1 <= n <= v["detector.m_symbols"] for n in v["sweep.samples"]):
+            raise ConfigError("sweep.samples values must lie in [1, detector.m_symbols]")
+        if any(n < 0 for n in v["sweep.elements"]):
+            raise ConfigError("sweep.elements values must be non-negative")
         for key, choices in _CHOICES.items():
             if v[key] not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")

@@ -182,25 +182,17 @@ def _train_and_calibrate(statistics: np.ndarray, null: GammaNull, config: Detect
     return FittedDetector(model, null, eta, n_train=len(statistics))
 
 
-def llr(detector: FittedDetector, y) -> np.ndarray | float:
-    """Log-likelihood ratio: learned alternative log-density minus null log-pdf."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0):
+def llr(detector: FittedDetector, y: np.ndarray) -> np.ndarray:
+    """Log-likelihood ratio of each statistic of the 1-D array ``y``: learned
+    alternative log-density minus null log-pdf."""
+    if np.any(y < 0):
         raise ValueError("llr requires y >= 0")
-    flat = np.atleast_1d(arr).astype(float)
-    out = detector.flow.log_prob(flat[:, None]) - gamma_h0_logpdf(detector.null, flat)
-    if np.ndim(y) == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return detector.flow.log_prob(y[:, None]) - gamma_h0_logpdf(detector.null, y)
 
 
-def classify(detector: FittedDetector, y) -> np.ndarray | bool:
+def classify(detector: FittedDetector, y: np.ndarray) -> np.ndarray:
     """True for H1 iff the LLR strictly exceeds the threshold (ties decide H0)."""
-    values = llr(detector, y)
-    out = np.asarray(values) > detector.threshold
-    if np.ndim(y) == 0:
-        return bool(out)
-    return out
+    return llr(detector, y) > detector.threshold
 
 
 def evaluate(detector: FittedDetector, batch: ObservationBatch) -> DetectionReport:

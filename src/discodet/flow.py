@@ -301,23 +301,23 @@ class FlowModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def forward(self, y, need_caches: bool = False):
-        """Map data to latent; returns (z, per-sample logdet[, caches]).
-
-        The logdet includes the constant -sum(log sigma_std) of the
-        standardizer.
-        """
+    def _standardize(self, y):
+        """Standardized data and the standardizer's per-sample logdet
+        -sum(log sigma_std): the input of the first block."""
         arr = _as_2d(y)
         if arr.shape[1] != self.dim:
             raise ValueError(f"flow expects {self.dim}-dimensional data, got {arr.shape[1]}")
-        x = (arr - self.mu_std) / self.sigma_std
         logdet = np.full(arr.shape[0], -np.log(self.sigma_std).sum())
-        caches = []
+        return (arr - self.mu_std) / self.sigma_std, logdet
+
+    def forward(self, y):
+        """Map data to latent; returns (z, per-sample logdet).  Each block's
+        cache is dropped as soon as the block returns."""
+        x, logdet = self._standardize(y)
         for blk in self.blocks:
-            x, ld, cache = blk.forward(x)
+            x, ld = blk.forward(x)[:2]
             logdet = logdet + ld
-            caches.append(cache)
-        return (x, logdet, caches) if need_caches else (x, logdet)
+        return x, logdet
 
     def log_prob(self, y) -> np.ndarray:
         z, logdet = self.forward(y)
@@ -361,7 +361,12 @@ def grad_nll(model: FlowModel, batch) -> tuple[float, list[np.ndarray]]:
     if n == 0:
         raise ValueError("grad_nll requires a non-empty batch")
     model.grad[:] = 0.0
-    z, logdet, caches = model.forward(arr, need_caches=True)
+    z, logdet = model._standardize(arr)
+    caches = []
+    for blk in model.blocks:
+        z, ld, cache = blk.forward(z)
+        logdet = logdet + ld
+        caches.append(cache)
     base = -0.5 * (z * z).sum(axis=1) - 0.5 * model.dim * math.log(2 * math.pi)
     loss = float(-(base + logdet).mean())
     dz = z / n                 # d(-mean(base))/dz

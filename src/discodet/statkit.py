@@ -61,19 +61,17 @@ class SeedStream:
         return SeedStream(int(gen.integers(0, 2**64, dtype=np.uint64)))
 
 
-def sample_cgauss(gen: np.random.Generator, mean: complex, variance: float, size=None):
-    """Draw circularly-symmetric complex Gaussian samples.
+def sample_cgauss(gen: np.random.Generator, mean: complex, variance: float,
+                  size) -> np.ndarray:
+    """Draw an array of circularly-symmetric complex Gaussian samples.
 
     Real and imaginary parts are independent with variance ``variance/2``
-    each, so E|x - mean|^2 = variance.  An array draw takes every real
-    part from the stream first, then every imaginary part.
+    each, so E|x - mean|^2 = variance.  Every real part is taken from the
+    stream first, then every imaginary part.
     """
     if variance < 0:
         raise ValueError(f"variance must be non-negative, got {variance}")
     scale = math.sqrt(variance / 2.0)
-    if size is None:
-        re, im = gen.standard_normal(2)
-        return complex(mean + scale * (re + 1j * im))
     out = np.empty(size, dtype=complex)
     out.real = gen.standard_normal(size)
     out.imag = gen.standard_normal(size)
@@ -83,8 +81,8 @@ def sample_cgauss(gen: np.random.Generator, mean: complex, variance: float, size
     return out
 
 
-def sample_gamma(gen: np.random.Generator, shape: int, scale: float, size=None):
-    """Draw Gamma(shape, scale) variates as a sum of ``shape`` exponentials.
+def sample_gamma(gen: np.random.Generator, shape: int, scale: float, size: int) -> np.ndarray:
+    """Draw ``size`` Gamma(shape, scale) variates as sums of ``shape`` exponentials.
 
     ``shape`` must be a positive integer (the detector's sample count N),
     which makes the sum-of-exponentials construction exact.
@@ -93,11 +91,7 @@ def sample_gamma(gen: np.random.Generator, shape: int, scale: float, size=None):
         raise ValueError(f"shape must be a positive integer, got {shape}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    n = 1 if size is None else int(np.prod(size))
-    draws = gen.exponential(scale, size=(n, int(shape))).sum(axis=1)
-    if size is None:
-        return float(draws[0])
-    return draws.reshape(size)
+    return gen.exponential(scale, size=(size, int(shape))).sum(axis=1)
 
 
 def empirical_quantile(values: Sequence[float], q: float) -> float:

@@ -14,15 +14,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
 from . import channel, detector, flow, statkit, theory
-from .config import ScenarioConfig
+from .config import ScenarioConfig, dump_config
 
-__all__ = ["SweepResult", "run_power_sweep", "run_elements_sweep",
-           "run_samples_sweep", "run_validation", "emit_csv", "run_point"]
+__all__ = ["SweepResult", "run_sweep", "run_validation", "emit_csv", "run_point"]
 
 
 @dataclass
@@ -133,11 +131,23 @@ def _sjnr_pair(cfg: ScenarioConfig, seeds: statkit.SeedStream, p0_dbm: float,
     return _db(sim), _db(th)
 
 
+# sweep variable -> the config key that lists its values
+_SWEEP_LISTS = {"p0_dbm": "sweep.powers_dbm", "n_elements": "sweep.elements",
+                "n_samples": "sweep.samples"}
+
+
 def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
-              sweep_value: float, p0_dbm: float, n_elements: int,
-              n_samples: int) -> SweepResult:
-    """Fit and evaluate all detector variants at one sweep setting."""
+              sweep_value: float) -> SweepResult:
+    """Fit and evaluate all detector variants with ``sweep_var`` set to
+    ``sweep_value``; the other two quantities keep their configured values."""
     t0 = time.perf_counter()
+    setting = {"p0_dbm": cfg["sweep.fixed_p0_dbm"],
+               "n_elements": cfg["dris.elements_h"] * cfg["dris.elements_v"],
+               "n_samples": cfg["detector.n_samples"]}
+    if sweep_var not in setting:
+        raise ValueError(f"sweep variable must be one of {tuple(setting)}, got {sweep_var!r}")
+    setting[sweep_var] = sweep_value
+    p0_dbm, n_elements, n_samples = setting.values()
     seeds = root.derive(f"point/{sweep_var}/{sweep_value!r}")
     dcfg = cfg.detector_config(n_samples=n_samples)
     scen = cfg.scenario(p0_dbm, n_elements=n_elements)
@@ -167,33 +177,12 @@ def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
     )
 
 
-def run_power_sweep(cfg: ScenarioConfig, root_seed: Optional[int] = None) -> list[SweepResult]:
-    """Transmit-power sweep at the configured surface size."""
-    root = statkit.SeedStream(cfg["seeds.root"] if root_seed is None else root_seed)
-    n_d = cfg["dris.elements_h"] * cfg["dris.elements_v"]
-    return [run_point(cfg, root, "p0_dbm", p0, p0, n_d, cfg["detector.n_samples"])
-            for p0 in cfg["sweep.powers_dbm"]]
-
-
-def run_elements_sweep(cfg: ScenarioConfig, root_seed: Optional[int] = None) -> list[SweepResult]:
-    """Surface-size sweep at the fixed transmit power."""
-    root = statkit.SeedStream(cfg["seeds.root"] if root_seed is None else root_seed)
-    p0 = cfg["sweep.fixed_p0_dbm"]
-    return [run_point(cfg, root, "n_elements", n_d, p0, n_d, cfg["detector.n_samples"])
-            for n_d in cfg["sweep.elements"]]
-
-
-def run_samples_sweep(cfg: ScenarioConfig, root_seed: Optional[int] = None) -> list[SweepResult]:
-    """Samples-per-statistic sweep at the fixed transmit power."""
-    root = statkit.SeedStream(cfg["seeds.root"] if root_seed is None else root_seed)
-    p0 = cfg["sweep.fixed_p0_dbm"]
-    n_d = cfg["dris.elements_h"] * cfg["dris.elements_v"]
-    for n in cfg["sweep.samples"]:
-        if n > cfg["detector.m_symbols"]:
-            raise ValueError(f"sweep sample count {n} exceeds the coherence-interval "
-                             f"length {cfg['detector.m_symbols']}")
-    return [run_point(cfg, root, "n_samples", n, p0, n_d, n)
-            for n in cfg["sweep.samples"]]
+def run_sweep(cfg: ScenarioConfig, sweep_var: str) -> list[SweepResult]:
+    """One :func:`run_point` row per value the config lists for ``sweep_var``
+    ("p0_dbm": transmit power, "n_elements": surface size, "n_samples":
+    samples per statistic)."""
+    root = statkit.SeedStream(cfg["seeds.root"])
+    return [run_point(cfg, root, sweep_var, v) for v in cfg[_SWEEP_LISTS[sweep_var]]]
 
 
 # -- CSV ---------------------------------------------------------------------
@@ -206,13 +195,9 @@ def _csv_num(x) -> str:
     return format(float(x), ".9g")
 
 
-def emit_csv(results: list[SweepResult], path, cfg: Optional[ScenarioConfig] = None) -> None:
+def emit_csv(results: list[SweepResult], path, cfg: ScenarioConfig) -> None:
     """Write sweep rows with a '#'-prefixed preamble echoing the config."""
-    from .config import dump_config
-
-    lines = []
-    if cfg is not None:
-        lines += [f"# {line}" for line in dump_config(cfg).splitlines()]
+    lines = [f"# {line}" for line in dump_config(cfg).splitlines()]
     lines.append(CSV_HEADER)
     for r in results:
         lines.append(",".join(_csv_num(getattr(r, name)) for name in _CSV_COLUMNS))
@@ -250,11 +235,10 @@ def autoregressive_check(model: flow.FlowModel, probe_gen: np.random.Generator,
     return True
 
 
-def run_validation(cfg: ScenarioConfig, root_seed: Optional[int] = None,
-                   fast: bool = False) -> list[ValidationCheck]:
+def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     """Execute the closed-form and pipeline self-checks; returns one record
     per check (failures are report content, not exceptions)."""
-    root = statkit.SeedStream(cfg["seeds.root"] if root_seed is None else root_seed)
+    root = statkit.SeedStream(cfg["seeds.root"])
     checks: list[ValidationCheck] = []
     noise = cfg.noise_power()
     profile = cfg.profile()
@@ -264,11 +248,10 @@ def run_validation(cfg: ScenarioConfig, root_seed: Optional[int] = None,
     checks.append(ValidationCheck("alpha_bar", True, f"alpha_bar = {abar:.6f}"))
 
     # Gaussian-limit variance and circularity of the cascaded channel
-    n_draws = 20_000 if fast else 100_000
+    n_draws = 100_000
     geo = cfg.geometry()
     fad = cfg.fading()
-    draws = channel.cascaded_mc(root.child("validate/cascade"), geo, fad, profile,
-                                "willie", n_draws)
+    draws = channel.cascaded_mc(root.child("validate/cascade"), geo, fad, profile, n_draws)
     loss_g = channel.path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
     loss_i = channel.path_loss_linear(fad.dris_willie,
                                       geo.distance(geo.dris_center, geo.willie))
@@ -288,7 +271,7 @@ def run_validation(cfg: ScenarioConfig, root_seed: Optional[int] = None,
     # exactness of the Gamma null via Kolmogorov-Smirnov over 10 seeds
     from scipy.stats import gamma as gamma_dist, kstest
 
-    n_stats = 20_000 if fast else 100_000
+    n_stats = 100_000
     n_dcfg = cfg["detector.n_samples"]
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
     passes = 0
@@ -332,11 +315,11 @@ def run_validation(cfg: ScenarioConfig, root_seed: Optional[int] = None,
     # FAR calibration and the tractable-surrogate comparison
     null = theory.GammaNull(n_dcfg, noise)
     sur_cfg = flow.TrainConfig(seed=root.derive("validate/sur-seed").root_seed,
-                               epochs=40 if fast else 120)
+                               epochs=120)
     dcfg = detector.DetectorConfig(alpha=0.05, rho=cfg["detector.rho"],
                                    n_samples=n_dcfg,
-                                   n_threshold=100_000 if fast else 400_000)
-    n_train = 10_000 if fast else 20_000
+                                   n_threshold=400_000)
+    n_train = 20_000
     gen_s = root.child("validate/surrogate")
     h1_stats = statkit.sample_gamma(gen_s, n_dcfg, 2 * noise, size=n_train // 2)
     h0_stats = statkit.sample_gamma(gen_s, n_dcfg, noise, size=n_train - n_train // 2)
@@ -346,7 +329,7 @@ def run_validation(cfg: ScenarioConfig, root_seed: Optional[int] = None,
     ).shuffled(root.child("validate/surrogate-shuffle"))
     det = detector.fit_unsupervised(batch, null, dcfg, sur_cfg,
                                     root.child("validate/surrogate-calib"))
-    n_eval = 20_000 if fast else 50_000
+    n_eval = 50_000
     gen_e = root.child("validate/surrogate-eval")
     far = float(np.mean(detector.classify(
         det, statkit.sample_gamma(gen_e, n_dcfg, noise, size=n_eval))))

@@ -71,8 +71,8 @@ def prop_variance(n_elements: int, abar: float, loss_g: float, loss_i: float) ->
     return n_elements * abar / (loss_g * loss_i)
 
 
-def gamma_h0_logpdf(null: GammaNull, y) -> np.ndarray | float:
-    """Log-density of the null Gamma distribution, valid for y >= 0.
+def gamma_h0_logpdf(null: GammaNull, y: np.ndarray) -> np.ndarray:
+    """Log-density of the null Gamma distribution at each y >= 0 of a 1-D array.
 
     y = 0 is handled as the density limit: -inf for shape > 1 and
     -log(scale) for shape = 1.
@@ -84,13 +84,7 @@ def gamma_h0_logpdf(null: GammaNull, y) -> np.ndarray | float:
     norm = _log_gamma_int(n) + n * math.log(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (n - 1) * np.log(arr) - arr / s - norm
-    if n == 1:
-        out = np.where(arr == 0.0, -math.log(s), out)
-    else:
-        out = np.where(arr == 0.0, -np.inf, out)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return float(out)
-    return out
+    return np.where(arr == 0.0, -math.log(s) if n == 1 else -np.inf, out)
 
 
 def sjnr_theory(p0: float, n_elements: int, abar: float, loss_direct: float,

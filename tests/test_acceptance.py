@@ -105,8 +105,7 @@ def test_criterion_02_cascaded_clt():
     geo = DEFAULT_CONFIG.geometry()          # 2048 elements
     fad = DEFAULT_CONFIG.fading()
     prof = DEFAULT_CONFIG.profile()
-    draws = channel.cascaded_mc(SeedStream(1002).child("clt"), geo, fad, prof,
-                                "willie", 100_000)
+    draws = channel.cascaded_mc(SeedStream(1002).child("clt"), geo, fad, prof, 100_000)
     loss_g = channel.path_loss_linear(fad.alice_dris,
                                       geo.distance(geo.alice, geo.dris_center))
     loss_i = channel.path_loss_linear(fad.dris_willie,
@@ -238,7 +237,7 @@ def test_criterion_07_unsup_vs_sup():
     root = SeedStream(cfg["seeds.root"])
     details, ok = [], True
     for p0 in (-7.0, 5.0):
-        r = sweeps.run_point(cfg, root, "p0_dbm", p0, p0, 2048, 5)
+        r = sweeps.run_point(cfg, root, "p0_dbm", p0)
         gap = abs(r.mdr_unsup - r.mdr_sup)
         ok &= gap <= 0.05
         details.append(f"{p0:g} dBm: unsup {r.mdr_unsup:.4f}, "
@@ -251,8 +250,7 @@ def test_unsaturated_surface_points(sweep_cfg):
     """Low powers where the surface MDRs lie inside (0, 1), so the unsup/sup
     gap and the P0 trend compare quantities that can differ."""
     root = SeedStream(sweep_cfg["seeds.root"])
-    rs = [sweeps.run_point(sweep_cfg, root, "p0_dbm", p0, p0, 2048, 5)
-          for p0 in (-33.0, -30.0, -27.0)]
+    rs = [sweeps.run_point(sweep_cfg, root, "p0_dbm", p0) for p0 in (-33.0, -30.0, -27.0)]
     inside = all(0 < getattr(r, f"mdr_{v}_lo") and getattr(r, f"mdr_{v}_hi") < 1
                  for r in rs for v in ("unsup", "sup"))
     gap = all(abs(r.mdr_unsup - r.mdr_sup) <= 0.05 for r in rs)
@@ -283,9 +281,7 @@ def test_criterion_08_sjnr_anchors():
 class TestCriterion09Trends:
     @pytest.fixture(scope="class")
     def all_sweeps(self, sweep_cfg):
-        return (sweeps.run_power_sweep(sweep_cfg),
-                sweeps.run_elements_sweep(sweep_cfg),
-                sweeps.run_samples_sweep(sweep_cfg))
+        return tuple(sweeps.run_sweep(sweep_cfg, v) for v in ("p0_dbm", "n_elements", "n_samples"))
 
     def test_mdr_monotone(self, all_sweeps):
         power, elements, samples = all_sweeps

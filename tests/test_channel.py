@@ -172,7 +172,7 @@ class TestCascadedChannel:
         geo = small_geometry()           # 256 elements
         fad = LinkFading()
         prof = DEFAULT_CONFIG.profile()
-        draws = cascaded_mc(SeedStream(4).child("mc"), geo, fad, prof, "willie", 40_000)
+        draws = cascaded_mc(SeedStream(4).child("mc"), geo, fad, prof, 40_000)
         loss_g = path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
         loss_i = path_loss_linear(fad.dris_willie,
                                   geo.distance(geo.dris_center, geo.willie))
@@ -186,7 +186,7 @@ class TestCascadedChannel:
     def test_zero_elements(self):
         geo = small_geometry(0, 0)
         draws = cascaded_mc(SeedStream(4).child("mc0"), geo, LinkFading(),
-                            DEFAULT_CONFIG.profile(), "willie", 100)
+                            DEFAULT_CONFIG.profile(), 100)
         assert np.all(draws == 0)
 
 

@@ -72,6 +72,9 @@ class TestParsing:
         ("geometry.wavelength = 0", "geometry: wavelength"),
         ("geometry.element_spacing = 0", "geometry: wavelength and element spacing"),
         ("geometry.bob_inner = -5", "geometry: annulus radii"),
+        ("sweep.samples = 1, 25", "sweep.samples"),
+        ("sweep.samples = 0, 5", "sweep.samples"),
+        ("sweep.elements = 0, -4", "sweep.elements"),
     ])
     def test_bad_profile_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):

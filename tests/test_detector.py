@@ -106,9 +106,9 @@ class TestThresholdAndClassify:
     def test_tie_decides_h0(self):
         null = GammaNull(5, NOISE)
         det = FittedDetector(build_flow(1, TrainConfig(seed=0)), null, 0.0)
-        y = float(sample_gamma(SeedStream(2).child("y"), 5, NOISE))
-        det.threshold = llr(det, y)          # exact tie by construction
-        assert classify(det, y) is False
+        y = sample_gamma(SeedStream(2).child("y"), 5, NOISE, size=1)
+        det.threshold = float(llr(det, y)[0])    # exact tie by construction
+        assert not classify(det, y)[0]
 
     def test_calibration_quantile(self):
         null = GammaNull(5, NOISE)
@@ -130,7 +130,7 @@ class TestThresholdAndClassify:
         null = GammaNull(5, NOISE)
         det = FittedDetector(build_flow(1, TrainConfig(seed=0)), null, 0.0)
         with pytest.raises(ValueError):
-            llr(det, -1.0)
+            llr(det, np.array([-1.0]))
 
 
 class TestFitting:

@@ -339,6 +339,18 @@ class TestNumerics:
         with pytest.raises(ValueError):
             nll(model, np.empty((0, 1)))
 
+    def test_log_prob_keeps_no_block_cache(self):
+        # scoring holds one block's temporaries at a time, not all five caches
+        model = perturbed_model(1, n_blocks=5)
+        y = np.random.default_rng(3).standard_normal((200_000, 1))
+        tracemalloc.start()
+        try:
+            model.log_prob(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * y.nbytes
+
     def test_width_mismatch_rejected(self):
         # one statistic per row must not broadcast across four dimensions
         model = perturbed_model(4)

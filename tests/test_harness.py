@@ -9,8 +9,7 @@ import pytest
 from discodet import flow, sweeps
 from discodet.config import parse_config_text
 from discodet.statkit import SeedStream
-from discodet.sweeps import (CSV_HEADER, SweepResult, emit_csv,
-                             run_elements_sweep, run_samples_sweep)
+from discodet.sweeps import CSV_HEADER, SweepResult, emit_csv, run_sweep
 
 # deliberately tiny Monte-Carlo sizes: these tests exercise plumbing and
 # determinism, not statistical power
@@ -35,7 +34,7 @@ def tiny_cfg():
 @pytest.fixture(scope="module")
 def elements_results(tiny_cfg):
     with pytest.warns(UserWarning):     # tiny n_threshold triggers the warning
-        return run_elements_sweep(tiny_cfg)
+        return run_sweep(tiny_cfg, "n_elements")
 
 
 class TestEmitCsv:
@@ -107,29 +106,25 @@ class TestSweeps:
 
         monkeypatch.setattr(sweeps, "_fit_variant", counting_fit)
         with pytest.warns(UserWarning):
-            sweeps.run_point(tiny_cfg, SeedStream(777), "n_elements", n_d, -7.0, n_d, 5)
+            sweeps.run_point(tiny_cfg, SeedStream(777), "n_elements", n_d)
         assert calls == fits
 
     def test_sjnr_theory_decreasing_in_elements(self, elements_results):
         assert elements_results[1].sjnr_theory_db < elements_results[0].sjnr_theory_db
 
-    def test_samples_sweep_n_beyond_interval(self, tiny_cfg):
-        bad = tiny_cfg.with_overrides(sweep__samples=(1, 25))
-        with pytest.raises(ValueError, match="coherence"):
-            run_samples_sweep(bad)
-
     def test_rerun_reproduces_rows(self, tiny_cfg, elements_results):
         with pytest.warns(UserWarning):
-            again = run_elements_sweep(tiny_cfg)
+            again = run_sweep(tiny_cfg, "n_elements")
         for a, b in zip(elements_results, again):
             assert a.mdr_unsup == b.mdr_unsup
             assert a.sjnr_sim_db == b.sjnr_sim_db
 
 
 class TestValidationSuite:
-    def test_fast_mode_all_pass(self):
-        cfg = parse_config_text("detector.n_samples = 5\nseeds.root = 31\n")
-        checks = sweeps.run_validation(cfg, fast=True)
+    def test_all_checks_pass(self):
+        cfg = parse_config_text("dris.elements_h = 16\ndris.elements_v = 16\n"
+                                "detector.n_samples = 5\nseeds.root = 31\n")
+        checks = sweeps.run_validation(cfg)
         failed = [c.name for c in checks if not c.passed]
         assert failed == [], f"validation failures: {failed}"
         assert all(type(c.passed) is bool for c in checks)
@@ -208,6 +203,13 @@ class TestCli:
         res = run_cli(["sweep-power", "--config", str(bad)], tmp_path)
         assert res.returncode == 2
         assert "config error" in res.stderr and "wavelength" in res.stderr
+
+    def test_bad_sweep_samples_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("sweep.samples = 1, 5", "sweep.samples = 1, 25"))
+        res = run_cli(["sweep-samples", "--config", str(bad)], tmp_path)
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "sweep.samples" in res.stderr
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
