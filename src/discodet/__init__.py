@@ -2,7 +2,7 @@
 
 Monte-Carlo channel simulation, an unsupervised Neyman-Pearson detector
 built on a self-contained masked autoregressive flow, and the closed-form
-statistics (Gamma null, Gaussian-limit cascaded channel, asymptotic SJNR)
+statistics (Gamma null, cascaded-channel variance, asymptotic SJNR)
 used to validate both.
 """
 

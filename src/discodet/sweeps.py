@@ -247,7 +247,7 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     # mean squared amplitude of the reflection profile (informational)
     checks.append(ValidationCheck("alpha_bar", True, f"alpha_bar = {abar:.6f}"))
 
-    # Gaussian-limit variance and circularity of the cascaded channel
+    # exact variance and circularity of the cascaded channel
     n_draws = 100_000
     geo = cfg.geometry()
     fad = cfg.fading()

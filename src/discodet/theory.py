@@ -1,8 +1,8 @@
 """Closed-form statistics used as oracles and as the analytic half of the test.
 
 Covers the Gamma null distribution of the radiometer statistic, the
-large-surface Gaussian limit of the cascaded disco-surface channel, and
-the asymptotic signal-to-jamming-plus-noise ratio (SJNR) at the receiver.
+second moment of the cascaded disco-surface channel, and the asymptotic
+signal-to-jamming-plus-noise ratio (SJNR) at the receiver.
 """
 
 from __future__ import annotations
@@ -59,10 +59,11 @@ def alpha_bar(profile) -> float:
 
 
 def prop_variance(n_elements: int, abar: float, loss_g: float, loss_i: float) -> float:
-    """Variance of the cascaded surface channel in its Gaussian limit.
+    """Exact E|h|^2 of the cascaded surface channel, for every surface size.
 
     Equals n_elements * abar / (loss_g * loss_i) where the losses are the
-    linear large-scale attenuations of the two hops.
+    linear large-scale attenuations of the two hops: the element terms are
+    independent and zero-mean, each with second moment abar / (loss_g * loss_i).
     """
     if loss_g <= 0 or loss_i <= 0:
         raise ValueError("large-scale losses must be positive")

@@ -143,19 +143,33 @@ class TestCascadeKernel:
                                       NON_DYADIC_PROFILE])
     def test_matches_einsum(self, prof):
         geo = small_geometry(8, 8)
-        fad = LinkFading()
-        loss_i = np.linspace(1e7, 1e8, 30)
-        got = channel._cascade(SeedStream(9).child("k"), geo, fad, prof, loss_i, 30, 5)
+        kappa = LinkFading().rician_g
+        got = channel._element_cascade(SeedStream(9).child("k"), geo, kappa, prof, 30, 5)
         # the same draws, in the same order, contracted the direct way
         gen = SeedStream(9).child("k")
-        g = sample_rician_g(gen, geo, fad.rician_g, size=30)
+        g = sample_rician_g(gen, geo, kappa, size=30)
         h = channel.sample_cgauss(gen, 0.0, 1.0, size=(30, 64))
         idx = channel._phase_indices(gen, prof, (30, 5, 64))
-        loss_g = path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
-        a = g * h / np.sqrt(loss_g * loss_i)[:, None]
-        ref = np.einsum("ik,imk->im", a, prof.coeff_table()[idx])
+        ref = np.einsum("ik,imk->im", g * h, prof.coeff_table()[idx])
         assert got.shape == (30, 5)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_elements,kernel", [
+        (8 * channel._PATTERN_MARGIN, channel._pattern_cascade),
+        (8 * channel._PATTERN_MARGIN - 1, channel._element_cascade),
+    ])
+    def test_dispatch(self, n_elements, kernel):
+        """Three two-phase symbols make 8 patterns: the pattern kernel runs
+        exactly when 8 * _PATTERN_MARGIN <= N_D."""
+        geo = small_geometry(n_elements, 1)
+        fad = LinkFading()
+        loss_i = np.linspace(1e7, 1e8, 7)
+        got = channel._cascade(SeedStream(2).child("d"), geo, fad, DEFAULT_PROFILE,
+                               loss_i, 7, 3)
+        loss_g = path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
+        ref = kernel(SeedStream(2).child("d"), geo, fad.rician_g, DEFAULT_PROFILE, 7, 3) \
+            / np.sqrt(loss_g * loss_i)[:, None]
+        np.testing.assert_array_equal(got, ref)
 
     def test_steering_is_cached_read_only(self):
         geo = small_geometry()
@@ -165,6 +179,53 @@ class TestCascadeKernel:
         np.testing.assert_array_equal(vec, los_steering(geo))
         with pytest.raises(ValueError):
             vec[0] = 0
+
+
+FOUR_PHASE_PROFILE = DrisProfile((0.0, 1.0, 2.5, 4.0), (1.0, 0.9, 0.6, 0.3),
+                                 (0.1, 0.2, 0.3, 0.4))
+
+
+def warden_draws(kernel, seed, geo, prof, n_symbols, n_intervals):
+    """The cascade (scaled by the hop losses) and the warden's statistic Y
+    under H1 at -7 dBm, with the cascade drawn by ``kernel``."""
+    fad = LinkFading()
+    p0 = dbm_to_watts(-7.0)
+    gen = SeedStream(seed).child("kernel-equivalence")
+    loss_g = path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
+    loss_i = path_loss_linear(fad.dris_willie, geo.distance(geo.dris_center, geo.willie))
+    loss_d = path_loss_linear(fad.alice_willie, geo.distance(geo.alice, geo.willie))
+    h = channel._chunked(n_intervals, n_symbols * geo.n_elements,
+                         lambda k: kernel(gen, geo, fad.rician_g, prof, k, n_symbols))
+    h /= math.sqrt(loss_g * loss_i)
+    h_d = channel.sample_cgauss(gen, 0.0, 1.0 / loss_d, size=(n_intervals, 1))
+    s = channel.sample_cgauss(gen, 0.0, p0, size=h.shape)
+    noise = channel.sample_cgauss(gen, 0.0, fad.noise_w, size=h.shape)
+    y = np.sum(np.abs((h_d + h) * s + noise) ** 2, axis=1)
+    var_c = prop_variance(geo.n_elements, alpha_bar(prof), loss_g, loss_i)
+    mean_y = n_symbols * (p0 * (1 / loss_d + var_c) + fad.noise_w)
+    return h, y, var_c, mean_y
+
+
+class TestPatternKernel:
+    """The pattern kernel draws the per-element kernel's cascade in
+    distribution, so the warden's statistic is the same either way."""
+
+    @pytest.mark.parametrize("prof", [DEFAULT_PROFILE, FOUR_PHASE_PROFILE],
+                             ids=["default", "four-phase"])
+    @pytest.mark.parametrize("grid", [(16, 16), (64, 32)], ids=["256", "2048"])
+    @pytest.mark.parametrize("n_symbols", [1, 5])
+    def test_matches_element_kernel(self, prof, grid, n_symbols):
+        geo = small_geometry(*grid)
+        n = min(4000, 8_000_000 // (n_symbols * geo.n_elements))   # ~1 s per case
+        ys = []
+        for seed, kernel in ((11, channel._element_cascade), (12, channel._pattern_cascade)):
+            h, y, var_c, mean_y = warden_draws(kernel, seed, geo, prof, n_symbols, n)
+            # per-interval means are independent; symbols of one interval are not
+            power = np.mean(np.abs(h) ** 2, axis=1)
+            assert abs(power.mean() - var_c) < 4.5 * power.std() / math.sqrt(n), kernel
+            assert abs(y.mean() - mean_y) < 4.5 * y.std() / math.sqrt(n), kernel
+            ys.append(y)
+        assert stats.ks_2samp(*ys).pvalue > 1e-3
 
 
 class TestCascadedChannel:
