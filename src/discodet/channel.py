@@ -238,15 +238,20 @@ def _phase_indices(gen: np.random.Generator, profile: DrisProfile, shape) -> np.
     """Independent phase indices with ``shape``, distributed as the profile.
 
     Two equally likely phases (the default profile) take one random bit
-    per element; other profiles invert the CDF of a uniform draw.
+    per element; other profiles invert the CDF of a uniform draw u by
+    counting the first K - 1 cumulative probabilities at or below u (so a
+    sum that rounds below 1 still maps every u to a phase).
     """
     if tuple(profile.probabilities) == (0.5, 0.5):
         n = math.prod(shape)
         raw = gen.integers(0, 256, size=-(-n // 8), dtype=np.uint8)
         return np.unpackbits(raw, count=n).reshape(shape)
     cum = np.cumsum(profile.probabilities)
-    idx = np.searchsorted(cum, gen.random(shape), side="right")
-    return np.minimum(idx, len(cum) - 1)  # guard u == 1.0 edge
+    u = gen.random(shape)
+    idx = np.zeros(shape, dtype=np.min_scalar_type(len(cum) - 1))
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
 
 
 def _contract(a: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:

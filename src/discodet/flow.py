@@ -13,6 +13,9 @@ affine stack would only span Gaussian shapes.  Each block therefore
 composes the affine map with a learnable monotone element-wise map
 g(u) = u + a*tanh(b*u), parameterized so a*b is in (-1, 1) which keeps
 g' > 0.  With a = 0 the block reduces to the plain affine transform.
+Such a conditioner is the same for every row, so a 1-D flow computes all
+blocks' conditioners once per call, stacked over a leading block axis,
+and runs the per-row chain on their scalars (``_forward_1d``).
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.n_blocks < 1:
+            raise ValueError("a flow needs at least one block")
+        if not all(width >= 1 for width in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
 
 
 def standardizer_fit(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +93,13 @@ def _as_2d(data) -> np.ndarray:
 
 
 def _views(buf: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive views of the flat ``buf``, one per shape."""
+    """Consecutive views along the last axis of ``buf``, one per shape; the
+    leading axes are kept, so ``buf.reshape(n_blocks, -1)`` gives each
+    parameter of every block with a leading block axis."""
     offsets = np.cumsum([math.prod(s) for s in shapes])[:-1]
-    return [part.reshape(s) for part, s in zip(np.split(buf, offsets), shapes)]
+    lead = buf.shape[:-1]
+    return [part.reshape(*lead, *s)
+            for part, s in zip(np.split(buf, offsets, axis=-1), shapes)]
 
 
 def _make_degrees(dim: int, hidden: tuple[int, ...]) -> list[np.ndarray]:
@@ -102,7 +113,8 @@ class MadeNetwork:
     """Degree-masked dense network emitting per-dimension (shift, log-scale).
 
     Output t depends only on inputs with index < t; with dim = 1 the
-    outputs are input-independent learned constants.
+    outputs are input-independent learned constants, which the 1-D flow
+    path computes without calling this class.
     """
 
     def __init__(self, dim: int, hidden: tuple[int, ...], init_gen: np.random.Generator,
@@ -137,7 +149,7 @@ class MadeNetwork:
         return shapes + [(widths[-1], dim), (dim,)] * 2
 
     def forward(self, y: np.ndarray, need_cache: bool = False):
-        h = y[:1] if self.dim == 1 else y   # a 1-D conditioner is constant: one row
+        h = y
         acts = [h]
         for w, b, mask in zip(self.weights, self.biases, self.masks):
             h = np.tanh(h @ (w * mask) + b)
@@ -149,8 +161,6 @@ class MadeNetwork:
         return mu, s
 
     def backward(self, acts: list[np.ndarray], dmu: np.ndarray, ds: np.ndarray) -> np.ndarray:
-        if self.dim == 1:   # adjoint of broadcasting the one-row conditioner
-            dmu, ds = dmu.sum(axis=0, keepdims=True), ds.sum(axis=0, keepdims=True)
         h_last = acts[-1]
         self.g_w_mu += (h_last.T @ dmu) * self.out_mask
         self.g_b_mu += dmu.sum(axis=0)
@@ -285,6 +295,11 @@ class FlowModel:
         self.grad = np.zeros_like(self.theta)
         self._params = _views(self.theta, shapes * n_blocks)
         self._grads = _views(self.grad, shapes * n_blocks)
+        # the same storage, one view per parameter with a leading block axis
+        self._stacked = _views(self.theta.reshape(n_blocks, -1), shapes)
+        self._g_stacked = _views(self.grad.reshape(n_blocks, -1), shapes)
+        self._n_layers = len(hidden)
+        self._enrich = enrich
         k = len(shapes)
         self.blocks = [
             FlowBlock(dim, hidden, reverse=(i % 2 == 1), enrich=enrich, init_gen=init_gen,
@@ -311,13 +326,10 @@ class FlowModel:
         return (arr - self.mu_std) / self.sigma_std, logdet
 
     def forward(self, y):
-        """Map data to latent; returns (z, per-sample logdet).  Each block's
-        cache is dropped as soon as the block returns."""
-        x, logdet = self._standardize(y)
-        for blk in self.blocks:
-            x, ld = blk.forward(x)[:2]
-            logdet = logdet + ld
-        return x, logdet
+        """Map data to latent; returns (z, per-sample logdet).  No block
+        cache outlives its block."""
+        forward, _ = _path(self)
+        return forward(self, y, keep=False)[:2]
 
     def log_prob(self, y) -> np.ndarray:
         z, logdet = self.forward(y)
@@ -361,19 +373,153 @@ def grad_nll(model: FlowModel, batch) -> tuple[float, list[np.ndarray]]:
     if n == 0:
         raise ValueError("grad_nll requires a non-empty batch")
     model.grad[:] = 0.0
-    z, logdet = model._standardize(arr)
-    caches = []
-    for blk in model.blocks:
-        z, ld, cache = blk.forward(z)
-        logdet = logdet + ld
-        caches.append(cache)
+    forward, backward = _path(model)
+    z, logdet, cache = forward(model, arr, keep=True)
     base = -0.5 * (z * z).sum(axis=1) - 0.5 * model.dim * math.log(2 * math.pi)
     loss = float(-(base + logdet).mean())
-    dz = z / n                 # d(-mean(base))/dz
-    c_logdet = -1.0 / n        # coefficient of each sample's logdet
+    # d(-mean(base))/dz, and the coefficient of each sample's logdet
+    backward(model, cache, z / n, -1.0 / n)
+    return loss, list(model._grads)
+
+
+def _path(model: FlowModel):
+    """The (forward, backward) pair that runs ``model``'s blocks.
+
+    A 1-D block's conditioner has no inputs: its (mu, s) is the same for
+    every row, so a 1-D flow takes the stacked path.  This is the one
+    place that decides it; the per-block path serves every dimension."""
+    if model.dim == 1:
+        return _forward_1d, _backward_1d
+    return _forward_blocks, _backward_blocks
+
+
+def _forward_blocks(model: FlowModel, y, keep: bool):
+    """Standardize ``y`` and run every block in turn; returns (z, logdet,
+    the blocks' caches if ``keep``)."""
+    x, logdet = model._standardize(y)
+    caches = []
+    for blk in model.blocks:
+        x, ld, cache = blk.forward(x)
+        logdet = logdet + ld
+        if keep:
+            caches.append(cache)
+        del cache   # scoring holds one block's cache at a time
+    return x, logdet, caches
+
+
+def _backward_blocks(model: FlowModel, caches, dz, c_logdet: float) -> None:
     for blk, cache in zip(reversed(model.blocks), reversed(caches)):
         dz = blk.backward(cache, dz, c_logdet)
-    return loss, list(model._grads)
+
+
+def _conditioner_1d(model: FlowModel) -> dict:
+    """Every block's conditioner output and enrichment pair for a 1-D flow.
+
+    Arrays have a leading block axis; ``FlowBlock.forward``'s operations
+    on them are kept, less the first layer's zero-masked product (its mask
+    is all zero for dim = 1; every later mask is all one).  The row chain
+    reads the per-block values as Python floats."""
+    p = model._stacked
+    n = 2 * model._n_layers
+    w_mu, b_mu, w_s, b_s = p[n:n + 4]
+    acts = []
+    if model._n_layers:
+        h = np.tanh(p[1])
+        acts.append(h)
+        for w, b in zip(p[2:n:2], p[3:n:2]):
+            h = np.tanh(np.matmul(h[:, None], w)[:, 0] + b)
+            acts.append(h)
+        mu = np.matmul(h[:, None], w_mu)[:, 0, 0] + b_mu[:, 0]
+        s_raw = np.matmul(h[:, None], w_s)[:, 0, 0] + b_s[:, 0]
+    else:   # no hidden layer: the heads' only input is masked out
+        mu, s_raw = b_mu[:, 0], b_s[:, 0]
+    s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
+    cond = {"acts": acts, "mu": mu.tolist(), "s_raw": s_raw.tolist(), "s": s.tolist(),
+            "exp_ms": np.exp(-s).tolist()}
+    if model._enrich:
+        ta = np.tanh(p[n + 4][:, 0])
+        b = _softplus(p[n + 5][:, 0])
+        a = ta / b
+        cond.update(ta=ta, b_arr=b, a=a.tolist(), b=b.tolist(), ab=(a * b).tolist(),
+                    two_b=(2.0 * b).tolist(), dgp_coef=(-2.0 * a * b * b).tolist())
+    return cond
+
+
+def _forward_1d(model: FlowModel, y, keep: bool):
+    """Standardize ``y`` and run every block of a 1-D flow on its scalar
+    conditioner: the row operations of ``FlowBlock.forward``, in its order.
+    Returns (z, logdet, cache); the cache holds each block's rows only if
+    ``keep``."""
+    x, logdet = model._standardize(y)
+    x = x[:, 0]
+    cond = _conditioner_1d(model)
+    rows = []
+    for k in range(len(model.blocks)):
+        u = (x - cond["mu"][k]) * cond["exp_ms"][k]
+        ld = -cond["s"][k]
+        t = gp = one_mt2 = None
+        if model._enrich:
+            t = np.tanh(cond["b"][k] * u)
+            x = u + cond["a"][k] * t
+            one_mt2 = 1.0 - t * t
+            gp = 1.0 + cond["ab"][k] * one_mt2
+            ld = ld + np.log(gp)
+        else:
+            x = u
+        logdet = logdet + ld
+        if keep:
+            rows.append((u, t, gp, one_mt2))
+        del u, t, gp, one_mt2   # scoring holds one block's rows at a time
+    return x[:, None], logdet, (cond, rows)
+
+
+def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
+    """Reverse-mode through ``_forward_1d``: ``FlowBlock.backward``'s row
+    sums per block, then the stacked conditioners' adjoint once."""
+    cond, rows = cache
+    n_blocks = len(model.blocks)
+    dmu, ds, da, db = (np.zeros(n_blocks) for _ in range(4))
+    dz = dz[:, 0]
+    for k in reversed(range(n_blocks)):
+        u, t, gp, one_mt2 = rows[k]
+        if model._enrich:
+            a, b = cond["a"][k], cond["b"][k]
+            dgp = c_logdet / gp
+            du = dz * gp + dgp * cond["dgp_coef"][k] * t * one_mt2
+            da[k] = (dz * t).sum() + (dgp * b * one_mt2).sum()
+            db[k] = (dz * a * u * one_mt2).sum() \
+                + (dgp * a * one_mt2 * (1.0 - cond["two_b"][k] * t * u)).sum()
+        else:
+            du = dz
+        neg_du = -du
+        exp_ms = cond["exp_ms"][k]
+        if abs(cond["s_raw"][k]) < LOG_SCALE_CLAMP:   # else the clamp passes no gradient
+            ds[k] = (neg_du * u - c_logdet).sum()
+        dmu[k] = (neg_du * exp_ms).sum()
+        dz = du * exp_ms
+
+    g = model._g_stacked
+    n = 2 * model._n_layers
+    g_w_mu, g_b_mu, g_w_s, g_b_s = g[n:n + 4]
+    g_b_mu[:, 0] += dmu
+    g_b_s[:, 0] += ds
+    if model._n_layers:
+        acts = cond["acts"]
+        w_mu, w_s = model._stacked[n], model._stacked[n + 2]
+        g_w_mu[:, :, 0] += acts[-1] * dmu[:, None]
+        g_w_s[:, :, 0] += acts[-1] * ds[:, None]
+        dh = dmu[:, None] * w_mu[:, :, 0] + ds[:, None] * w_s[:, :, 0]
+        for i in range(model._n_layers - 1, -1, -1):
+            dpre = dh * (1.0 - acts[i] * acts[i])
+            g[2 * i + 1] += dpre
+            if i:   # the first layer's weights and input are masked out
+                g[2 * i] += acts[i - 1][:, :, None] * dpre[:, None, :]
+                dh = np.matmul(dpre[:, None], model._stacked[2 * i].transpose(0, 2, 1))[:, 0]
+    if model._enrich:
+        ta, b = cond["ta"], cond["b_arr"]
+        sig = _sigmoid(model._stacked[n + 5][:, 0])
+        g[n + 4][:, 0] += da * (1.0 - ta * ta) / b
+        g[n + 5][:, 0] += db * sig + da * (-ta / (b * b)) * sig
 
 
 ADAM_BETA1 = 0.9
@@ -458,9 +604,8 @@ def save_flow(model: FlowModel, path) -> None:
     little-endian float64.  Loading reproduces log-densities bit-identically."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        hidden = model.blocks[0].made.hidden if model.blocks else ()
-        enrich = bool(model.blocks and model.blocks[0].enrich)
-        fh.write(struct.pack("<IIIB", model.dim, len(model.blocks), len(hidden), enrich))
+        hidden = model.blocks[0].made.hidden
+        fh.write(struct.pack("<IIIB", model.dim, len(model.blocks), len(hidden), model._enrich))
         for width in hidden:
             fh.write(struct.pack("<I", width))
         fh.write(model.mu_std.astype("<f8").tobytes())
@@ -481,13 +626,16 @@ def load_flow(path) -> FlowModel:
         if dim == 0:
             raise ValueError(f"{path}: zero-dimensional flow")
         hidden = struct.unpack(f"<{n_hidden}I", read(4 * n_hidden, "hidden widths"))
+        try:
+            config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         mu_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
         sigma_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
         shapes = FlowBlock.param_shapes(dim, hidden, bool(enrich))
         raw = read(8 * n_blocks * sum(math.prod(s) for s in shapes), "parameter data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
-    config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))
     model = build_flow(dim, config, mu_std, sigma_std)
     model.theta[:] = np.frombuffer(raw, dtype="<f8")
     return model

@@ -294,9 +294,15 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
                                   autoregressive_check(model, probe_gen),
                                   "masked conditioner ignores current/future inputs"))
 
+    # the dim-4 probe model, and a dim-1 model on the path the detector trains
     ok, worst = _gradient_check(model, probe_gen.standard_normal((8, 4)))
-    checks.append(ValidationCheck("flow_gradients", ok,
-                                  f"worst finite-difference mismatch {worst:.2e}"))
+    gen_1d = root.child("validate/flow-probe-1d")
+    model_1d = flow.build_flow(1, tcfg)
+    model_1d.theta += 0.2 * gen_1d.standard_normal(model_1d.theta.size)
+    ok_1d, worst_1d = _gradient_check(model_1d, gen_1d.standard_normal((8, 1)))
+    checks.append(ValidationCheck("flow_gradients", ok and ok_1d,
+                                  f"worst finite-difference mismatch {max(worst, worst_1d):.2e}"
+                                  " (dims 4 and 1)"))
 
     y = probe_gen.standard_normal((64, 4))
     z, _ = model.forward(y)

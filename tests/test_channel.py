@@ -119,6 +119,19 @@ DEFAULT_PROFILE = DEFAULT_CONFIG.profile()
 QUARTER_PROFILE = DrisProfile((0.0, 1.0, 2.0, 3.0), (1.0, 0.9, 0.8, 0.7),
                               (0.25, 0.25, 0.25, 0.25))
 NON_DYADIC_PROFILE = DrisProfile((0.1, 2.0), (0.8, 1.0), (0.3, 0.7))
+# the cumulative probabilities end at 1 - 1e-13, just below 1
+SHORT_SUM_PROFILE = DrisProfile((0.0, 1.0, 2.0, 3.0), (1.0,) * 4,
+                                (0.25, 0.25, 0.25, 0.25 - 1e-13))
+
+
+class FixedUniforms:
+    """Stands in for a generator whose ``random`` returns given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, shape):
+        return self.values.reshape(shape)
 
 
 class TestCascadeKernel:
@@ -133,6 +146,24 @@ class TestCascadeKernel:
         freq = np.bincount(idx.ravel(), minlength=len(prof.phases)) / idx.size
         # 153 600 draws: the binomial standard error is at most 0.0013
         np.testing.assert_allclose(freq, prof.probabilities, atol=0.006)
+
+    @pytest.mark.parametrize("prof", [QUARTER_PROFILE, NON_DYADIC_PROFILE, SHORT_SUM_PROFILE],
+                             ids=["quarter", "non-dyadic", "short-sum"])
+    def test_inverse_cdf_is_clipped_searchsorted(self, prof):
+        cum = np.cumsum(prof.probabilities)
+        # the profile's own draws, then every cut, the float below it and
+        # the largest uniform below 1
+        u = SeedStream(8).child("u").random((50, 40))
+        idx = channel._phase_indices(SeedStream(8).child("u"), prof, (50, 40))
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        idx_edges = channel._phase_indices(FixedUniforms(edges), prof, edges.shape)
+        for got, uniforms in ((idx, u), (idx_edges, edges)):
+            assert got.dtype == np.uint8
+            ref = np.minimum(np.searchsorted(cum, uniforms, side="right"), len(cum) - 1)
+            np.testing.assert_array_equal(got, ref)
+        assert idx_edges[-1] == len(cum) - 1
+        if prof is SHORT_SUM_PROFILE:
+            assert cum[-1] < 1.0
 
     def test_default_profile_reads_bits(self):
         idx = channel._phase_indices(SeedStream(8).child("bits"), DEFAULT_PROFILE, (3, 5))

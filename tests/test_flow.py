@@ -90,8 +90,9 @@ class TestAutoregressive:
 
 
 class TestConstantConditioner:
-    """A 1-D block's conditioner has no inputs, so the MADE is evaluated on
-    one row per batch; with more dimensions it must see every row."""
+    """A 1-D block's conditioner has no inputs, so a 1-D flow scores and
+    differentiates without a per-block MADE call; with more dimensions the
+    MADE sees every row."""
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rows_evaluated(self, dim, monkeypatch):
@@ -105,11 +106,43 @@ class TestConstantConditioner:
             return out
         monkeypatch.setattr(flow.MadeNetwork, "forward", spy)
         y = np.random.default_rng(13).standard_normal((1000, dim))
-        for run, n in ((model.log_prob, 1000), (lambda a: grad_nll(model, a[:256]), 256),
-                       (model.inverse, 1000)):
+        for run, n in ((model.log_prob, 1000), (lambda a: grad_nll(model, a[:256]), 256)):
             rows.clear()
             run(y)
-            assert rows and set(rows) == {1 if dim == 1 else n}
+            assert rows == ([] if dim == 1 else [n] * len(model.blocks))
+        rows.clear()
+        model.inverse(y)
+        assert rows and set(rows) == {1000}
+
+
+def run_path(monkeypatch, path, model, y):
+    """log_prob, the grad_nll loss and the gradient, with ``path`` as the
+    flow's (forward, backward) pair."""
+    monkeypatch.setattr(flow, "_path", lambda _: path)
+    log_prob = model.log_prob(y)
+    loss, _ = grad_nll(model, y)
+    return log_prob, loss, model.grad.copy()
+
+
+class TestScalarPath:
+    """The stacked 1-D path against the per-block loop, which evaluates
+    every row's conditioner and so agrees to rounding only."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 5])
+    @pytest.mark.parametrize("enrichment", [True, False])
+    @pytest.mark.parametrize("hidden", [(64,), (8, 6), ()], ids=["64", "8-6", "none"])
+    def test_matches_block_loop(self, monkeypatch, hidden, enrichment, n_blocks):
+        model = perturbed_model(1, hidden=hidden, enrichment=enrichment, n_blocks=n_blocks,
+                                scale=0.3)
+        if n_blocks > 1:
+            model.blocks[1].made.b_s[:] = 30.0    # block 1's log-scale clamps
+        for n in (1, 17, 256):
+            y = np.random.default_rng(n).standard_normal((n, 1)) * 2 + 0.5
+            got = run_path(monkeypatch, (flow._forward_1d, flow._backward_1d), model, y)
+            ref = run_path(monkeypatch, (flow._forward_blocks, flow._backward_blocks),
+                           model, y)
+            for g, r in zip(got, ref):
+                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
 
 
 class TestGradients:
@@ -180,12 +213,18 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(np.array([1.0, 2.0]), TrainConfig(epochs=1, batch_size=256))
 
-    @pytest.mark.parametrize("batch_size", [0, -5])
-    def test_batch_size_must_be_positive(self, batch_size):
-        # unchecked, a negative size leaves the batch loop empty and train
-        # returns the untrained init without an error
-        with pytest.raises(ValueError, match="batch size"):
-            TrainConfig(batch_size=batch_size)
+    # unchecked, a negative batch size leaves the batch loop empty and train
+    # returns the untrained init without an error; n_blocks = -1 fails
+    # inside numpy, and hidden = (0,) builds a zero-width network
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"batch_size": 0}, "batch size"), ({"batch_size": -5}, "batch size"),
+        ({"n_blocks": 0}, "block"), ({"n_blocks": -1}, "block"),
+        ({"hidden": (0,)}, "hidden"), ({"hidden": (8, 0)}, "hidden"),
+    ], ids=["batch_size=0", "batch_size=-5", "n_blocks=0", "n_blocks=-1",
+            "hidden=0", "hidden=8,0"])
+    def test_sizes_must_be_positive(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**kwargs)
 
 
 class TestSerialization:
@@ -248,10 +287,20 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 5e6
 
-    def test_zero_dim_rejected(self, tmp_path):
+    # complete files (as many values as the header asks for) whose header
+    # asks for no dimension, no block or a zero-width layer
+    @pytest.mark.parametrize("dim,n_blocks,hidden,match", [
+        (0, 1, (), "zero-dimensional"),
+        (1, 0, (8,), "a flow needs at least one block"),
+        (1, 2, (8, 0), "hidden widths"),
+    ], ids=["zero-dim", "no-blocks", "zero-width"])
+    def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, hidden, match):
+        n_theta = n_blocks * sum(math.prod(s) for s in flow.FlowBlock.param_shapes(dim, hidden, True))
         path = tmp_path / "model.flow"
-        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIB", 0, 1, 0, 0))
-        with pytest.raises(ValueError, match="zero-dimensional"):
+        path.write_bytes(b"DSCFLOW1"
+                         + struct.pack(f"<IIIB{len(hidden)}I", dim, n_blocks, len(hidden), 1, *hidden)
+                         + np.zeros(2 * dim + n_theta).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + match):
             load_flow(path)
 
     @pytest.mark.parametrize("dim,hidden", [(1, (8,)), (3, (8, 6))])
