@@ -376,16 +376,15 @@ def cascaded_mc(gen: np.random.Generator, geometry: Geometry, fading: LinkFading
 
 
 def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothesis: str,
-                          n_intervals: int, n_samples: int):
-    """Accumulated-power statistics Y = sum_{n=1..N} |y(n)|^2 at the warden.
+                          n_intervals: int, n_samples: int) -> np.ndarray:
+    """Accumulated-power statistics Y = sum_{n=1..N} |y(n)|^2 at the warden,
+    one per coherence interval.
 
     Under H0 each received sample is pure noise.  Under H1 a fresh channel
     realization is drawn per coherence interval, the surface coefficients
     and transmit symbol are redrawn per sample, and the direct channel is
     held fixed within the interval.
     """
-    from .detector import ObservationBatch
-
     if hypothesis not in ("H0", "H1"):
         raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
     if n_samples < 1:
@@ -394,12 +393,10 @@ def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothes
         raise ValueError(f"samples per statistic ({n_samples}) exceeds the "
                          f"coherence-interval length ({scenario.m_symbols})")
     noise_var = scenario.fading.noise_w
-    labels = np.full(n_intervals, 1 if hypothesis == "H1" else 0, dtype=np.int8)
 
     if hypothesis == "H0":
         noise = sample_cgauss(gen, 0.0, noise_var, size=(n_intervals, n_samples))
-        stats = np.abs(noise) ** 2
-        return ObservationBatch(stats.sum(axis=1), labels)
+        return np.sum(np.abs(noise) ** 2, axis=1)
 
     geo, fad = scenario.geometry, scenario.fading
     loss_d_w = path_loss_linear(fad.alice_willie, geo.distance(geo.alice, geo.willie))
@@ -414,8 +411,7 @@ def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothes
         y = h_tot * s + noise
         return np.sum(np.abs(y) ** 2, axis=1)
 
-    stats = _chunked(n_intervals, n_samples * max(geo.n_elements, 1), draw)
-    return ObservationBatch(stats, labels)
+    return _chunked(n_intervals, n_samples * max(geo.n_elements, 1), draw)
 
 
 def gen_bob_signals(gen: np.random.Generator, scenario: Scenario, n_symbols: int):

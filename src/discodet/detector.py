@@ -36,36 +36,26 @@ __all__ = [
 
 @dataclass
 class ObservationBatch:
-    """Accumulated-power statistics with hidden ground-truth labels.
+    """Labeled evaluation statistics: ``h0`` drawn while the transmitter is
+    silent, ``h1`` while it transmits.  No fit ever takes labels."""
 
-    Labels (0 = silent, 1 = transmitting) exist only for evaluation and
-    the supervised baseline; the unsupervised fit never reads them.
-    """
-
-    statistics: np.ndarray
-    hidden_labels: np.ndarray
+    h0: np.ndarray
+    h1: np.ndarray
 
     def __post_init__(self):
-        self.statistics = np.asarray(self.statistics, dtype=float)
-        self.hidden_labels = np.asarray(self.hidden_labels, dtype=np.int8)
-        if self.statistics.shape != self.hidden_labels.shape:
-            raise ValueError("statistics and hidden_labels must have equal length")
-        if not np.all(self.statistics >= 0):
-            raise ValueError("power statistics must be non-negative")
+        self.h0 = _statistics(self.h0)
+        self.h1 = _statistics(self.h1)
 
     def __len__(self) -> int:
-        return self.statistics.size
+        return self.h0.size + self.h1.size
 
-    @staticmethod
-    def concatenate(batches: list["ObservationBatch"]) -> "ObservationBatch":
-        return ObservationBatch(
-            np.concatenate([b.statistics for b in batches]),
-            np.concatenate([b.hidden_labels for b in batches]),
-        )
 
-    def shuffled(self, gen: np.random.Generator) -> "ObservationBatch":
-        order = gen.permutation(len(self))
-        return ObservationBatch(self.statistics[order], self.hidden_labels[order])
+def _statistics(y) -> np.ndarray:
+    """``y`` as a float array, rejected unless every entry is >= 0 (NaN fails)."""
+    arr = np.asarray(y, dtype=float)
+    if not np.all(arr >= 0):
+        raise ValueError("power statistics must be non-negative")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -114,8 +104,8 @@ class DetectionReport:
     n_h1: int
 
 
-def prefilter(batch: ObservationBatch, null: GammaNull, rho: float) -> ObservationBatch:
-    """Discard the observations most likely under the null.
+def prefilter(batch: np.ndarray, null: GammaNull, rho: float) -> np.ndarray:
+    """Discard the statistics most likely under the null.
 
     The cut point is the smallest null log-density v with
     #{l_t >= v} <= rho * n; samples with l_t >= v are discarded, so ties
@@ -124,16 +114,17 @@ def prefilter(batch: ObservationBatch, null: GammaNull, rho: float) -> Observati
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    n = len(batch)
+    y = _statistics(batch)
+    n = y.size
     if n == 0:
         raise ValueError("prefilter requires a non-empty batch")
-    loglik = gamma_h0_logpdf(null, batch.statistics)
+    loglik = gamma_h0_logpdf(null, y)
     idx = min(int(np.ceil((1.0 - rho) * n)), n - 1)
     tau = np.sort(loglik)[idx]
     keep = loglik < tau
     if not np.any(keep):
         raise ValueError("prefilter discarded every observation (degenerate split)")
-    return ObservationBatch(batch.statistics[keep], batch.hidden_labels[keep])
+    return y[keep]
 
 
 def calibrate_threshold(model: flowmod.FlowModel, null: GammaNull, alpha: float,
@@ -153,31 +144,20 @@ def calibrate_threshold(model: flowmod.FlowModel, null: GammaNull, alpha: float,
     return empirical_quantile(values, 1.0 - alpha)
 
 
-def fit_unsupervised(batch: ObservationBatch, null: GammaNull, config: DetectorConfig,
+def fit_unsupervised(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
                      train_config: flowmod.TrainConfig,
                      gen: np.random.Generator) -> FittedDetector:
-    """Prefilter, fit the flow on the retained statistics, calibrate.
-
-    Never reads the batch's hidden labels; ``gen`` drives only the
-    threshold Monte Carlo.
-    """
-    retained = prefilter(batch, null, config.rho)
-    return _train_and_calibrate(retained.statistics, null, config, train_config, gen)
+    """Prefilter the unlabeled statistics, then fit on what is retained."""
+    return fit_supervised(prefilter(statistics, null, config.rho), null, config,
+                          train_config, gen)
 
 
-def fit_supervised(batch: ObservationBatch, null: GammaNull, config: DetectorConfig,
+def fit_supervised(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
                    train_config: flowmod.TrainConfig,
                    gen: np.random.Generator) -> FittedDetector:
-    """Supervised baseline: the batch is known to be transmit-hypothesis only."""
-    if np.any(batch.hidden_labels != 1):
-        raise ValueError("supervised fit expects a batch labeled H1 throughout")
-    return _train_and_calibrate(batch.statistics, null, config, train_config, gen)
-
-
-def _train_and_calibrate(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
-                         train_config: flowmod.TrainConfig,
-                         gen: np.random.Generator) -> FittedDetector:
-    model = flowmod.train(statistics, train_config)
+    """Fit the flow on statistics taken to be transmit-hypothesis draws and
+    calibrate the threshold; ``gen`` drives only the threshold Monte Carlo."""
+    model = flowmod.train(_statistics(statistics), train_config)
     eta = calibrate_threshold(model, null, config.alpha, config.n_threshold, gen)
     return FittedDetector(model, null, eta, n_train=len(statistics))
 
@@ -197,18 +177,14 @@ def classify(detector: FittedDetector, y: np.ndarray) -> np.ndarray:
 
 def evaluate(detector: FittedDetector, batch: ObservationBatch) -> DetectionReport:
     """Empirical FAR/MDR with 95% Wilson intervals on a labeled evaluation batch."""
-    pred_h1 = classify(detector, batch.statistics)
-    is_h0 = batch.hidden_labels == 0
-    is_h1 = batch.hidden_labels == 1
-    n_h0 = int(is_h0.sum())
-    n_h1 = int(is_h1.sum())
+    n_h0, n_h1 = batch.h0.size, batch.h1.size
     far = far_ci = mdr = mdr_ci = None
     if n_h0:
-        k = int(pred_h1[is_h0].sum())
+        k = int(classify(detector, batch.h0).sum())
         far = k / n_h0
         far_ci = binomial_ci(k, n_h0)
     if n_h1:
-        k = int((~pred_h1[is_h1]).sum())
+        k = int((~classify(detector, batch.h1)).sum())
         mdr = k / n_h1
         mdr_ci = binomial_ci(k, n_h1)
     return DetectionReport(far, far_ci, mdr, mdr_ci, n_h0, n_h1)

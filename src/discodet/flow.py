@@ -59,7 +59,7 @@ class TrainConfig:
     enrichment: bool | None = None   # None: on for d=1, off otherwise
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:       # NaN fails too
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -625,6 +625,8 @@ def load_flow(path) -> FlowModel:
         dim, n_blocks, n_hidden, enrich = struct.unpack("<IIIB", read(13, "header"))
         if dim == 0:
             raise ValueError(f"{path}: zero-dimensional flow")
+        if enrich not in (0, 1):
+            raise ValueError(f"{path}: enrichment flag must be 0 or 1, got {enrich}")
         hidden = struct.unpack(f"<{n_hidden}I", read(4 * n_hidden, "hidden widths"))
         try:
             config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))

@@ -15,37 +15,37 @@ from discodet.theory import GammaNull
 NOISE = 1.8e-15
 
 
-def surrogate_batch(stream, n, scale_h1=2 * NOISE, mix=0.5):
-    """Two-Gamma mixture with hidden labels (tractable stand-in for the
-    simulated channel)."""
+def surrogate_halves(stream, n):
+    """H0 and H1 halves of an even two-Gamma mixture (tractable stand-in
+    for the simulated channel)."""
     gen = stream.child("data")
-    n1 = int(round(mix * n))
-    h1 = sample_gamma(gen, 5, scale_h1, size=n1)
+    n1 = n // 2
+    h1 = sample_gamma(gen, 5, 2 * NOISE, size=n1)
     h0 = sample_gamma(gen, 5, NOISE, size=n - n1)
-    return ObservationBatch(
-        np.concatenate([h1, h0]),
-        np.concatenate([np.ones(n1, np.int8), np.zeros(n - n1, np.int8)]),
-    ).shuffled(stream.child("shuffle"))
+    return h0, h1
+
+
+def surrogate_mix(stream, n):
+    """The unlabeled, shuffled mixture a warden would record."""
+    h0, h1 = surrogate_halves(stream, n)
+    mix = np.concatenate([h1, h0])
+    return mix[stream.child("shuffle").permutation(mix.size)]
+
+
+# negative power, and the NaN a broken channel setting would produce
+BAD_STATISTICS = [np.array([1.0, -2.0]), np.array([1.0, np.nan])]
 
 
 class TestObservationBatch:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservationBatch(np.array([1.0, -2.0]), np.array([1, 1]))
-        with pytest.raises(ValueError):
-            ObservationBatch(np.array([1.0]), np.array([1, 0]))
-        with pytest.raises(ValueError):
-            ObservationBatch(np.array([1.0, np.nan]), np.array([1, 1]))
+        for bad in BAD_STATISTICS:
+            with pytest.raises(ValueError, match="non-negative"):
+                ObservationBatch(bad, np.array([1.0]))
+            with pytest.raises(ValueError, match="non-negative"):
+                ObservationBatch(np.array([1.0]), bad)
 
-    def test_concat_and_shuffle(self):
-        a = ObservationBatch(np.array([1.0, 2.0]), np.array([0, 0]))
-        b = ObservationBatch(np.array([3.0]), np.array([1]))
-        c = ObservationBatch.concatenate([a, b])
-        assert len(c) == 3
-        s = c.shuffled(SeedStream(1).child("s"))
-        assert sorted(s.statistics) == [1.0, 2.0, 3.0]
-        # labels travel with their statistics
-        assert s.hidden_labels[list(s.statistics).index(3.0)] == 1
+    def test_len_counts_both_hypotheses(self):
+        assert len(ObservationBatch(np.array([1.0, 2.0]), np.array([3.0]))) == 3
 
 
 class TestPrefilter:
@@ -53,28 +53,29 @@ class TestPrefilter:
         # monotone-decreasing null density: larger y is always less likely,
         # so rho = 0.2 on ten distinct values keeps the eight largest
         null = GammaNull(1, 1.0)
-        batch = ObservationBatch(np.arange(1.0, 11.0), np.zeros(10, np.int8))
-        kept = prefilter(batch, null, 0.2)
+        kept = prefilter(np.arange(1.0, 11.0), null, 0.2)
         assert len(kept) == 8
-        np.testing.assert_array_equal(np.sort(kept.statistics), np.arange(3.0, 11.0))
+        np.testing.assert_array_equal(np.sort(kept), np.arange(3.0, 11.0))
 
     def test_half(self):
         null = GammaNull(1, 1.0)
-        batch = ObservationBatch(np.arange(1.0, 11.0), np.zeros(10, np.int8))
-        kept = prefilter(batch, null, 0.5)
+        kept = prefilter(np.arange(1.0, 11.0), null, 0.5)
         assert len(kept) == 5
 
     def test_all_equal_degenerate(self):
         null = GammaNull(1, 1.0)
-        batch = ObservationBatch(np.full(10, 2.0), np.zeros(10, np.int8))
         with pytest.raises(ValueError, match="degenerate"):
-            prefilter(batch, null, 0.2)
+            prefilter(np.full(10, 2.0), null, 0.2)
 
     def test_bad_rho(self):
         null = GammaNull(1, 1.0)
-        batch = ObservationBatch(np.arange(1.0, 5.0), np.zeros(4, np.int8))
         with pytest.raises(ValueError):
-            prefilter(batch, null, 1.0)
+            prefilter(np.arange(1.0, 5.0), null, 1.0)
+
+    @pytest.mark.parametrize("bad", BAD_STATISTICS, ids=["negative", "nan"])
+    def test_bad_statistics_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            prefilter(bad, GammaNull(1, 1.0), 0.5)
 
     def test_underflowing_likelihoods_ranked(self):
         # eight of ten statistics lie so far in the tail that their null
@@ -83,10 +84,10 @@ class TestPrefilter:
         y = np.concatenate([np.array([3.0, 6.0]), np.linspace(2000.0, 3000.0, 8)]) * NOISE
         null = GammaNull(5, NOISE)
         assert np.all(stats.gamma(a=5, scale=NOISE).pdf(y[2:]) == 0.0)
-        kept = prefilter(ObservationBatch(y, np.zeros(10, np.int8)), null, 0.5)
+        kept = prefilter(y, null, 0.5)
         assert len(kept) == math.ceil((1 - 0.5) * 10)
         least_likely = np.argsort(stats.gamma(a=5, scale=NOISE).logpdf(y))[:5]
-        np.testing.assert_array_equal(np.sort(kept.statistics), np.sort(y[least_likely]))
+        np.testing.assert_array_equal(np.sort(kept), np.sort(y[least_likely]))
 
 
 class TestThresholdAndClassify:
@@ -140,29 +141,26 @@ class TestFitting:
     def _tcfg(self, seed=31):
         return TrainConfig(seed=seed, epochs=8, batch_size=256)
 
-    def test_unsupervised_ignores_labels(self):
+    @pytest.mark.parametrize("bad", BAD_STATISTICS, ids=["negative", "nan"])
+    def test_supervised_rejects_bad_statistics(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            fit_supervised(bad, GammaNull(5, NOISE), self._dcfg(), self._tcfg(),
+                           SeedStream(4).child("c"))
+
+    def test_unsupervised_is_supervised_on_prefiltered(self):
         stream = SeedStream(4)
-        batch = surrogate_batch(stream, 4000)
-        scrambled = ObservationBatch(batch.statistics, 1 - batch.hidden_labels)
+        mix = surrogate_mix(stream, 4000)
         null = GammaNull(5, NOISE)
-        d1 = fit_unsupervised(batch, null, self._dcfg(), self._tcfg(),
-                              stream.child("cal"))
-        d2 = fit_unsupervised(scrambled, null, self._dcfg(), self._tcfg(),
-                              stream.child("cal"))
-        assert d1.threshold == d2.threshold
+        d1 = fit_unsupervised(mix, null, self._dcfg(), self._tcfg(), stream.child("cal"))
+        d2 = fit_supervised(prefilter(mix, null, 0.5), null, self._dcfg(), self._tcfg(),
+                            stream.child("cal"))
+        assert d1.threshold == d2.threshold and d1.n_train == d2.n_train
         y = np.linspace(NOISE, 30 * NOISE, 50)
         np.testing.assert_array_equal(llr(d1, y), llr(d2, y))
 
-    def test_supervised_requires_h1_labels(self):
-        stream = SeedStream(4)
-        batch = surrogate_batch(stream, 2000, mix=0.5)
-        null = GammaNull(5, NOISE)
-        with pytest.raises(ValueError):
-            fit_supervised(batch, null, self._dcfg(), self._tcfg(), stream.child("c"))
-
     def test_fit_determinism(self):
         stream = SeedStream(4)
-        batch = surrogate_batch(stream, 4000)
+        batch = surrogate_mix(stream, 4000)
         null = GammaNull(5, NOISE)
         d1 = fit_unsupervised(batch, null, self._dcfg(), self._tcfg(),
                               stream.child("cal"))
@@ -172,7 +170,7 @@ class TestFitting:
 
     def test_metadata(self):
         stream = SeedStream(4)
-        batch = surrogate_batch(stream, 4000)
+        batch = surrogate_mix(stream, 4000)
         det = fit_unsupervised(batch, GammaNull(5, NOISE), self._dcfg(),
                                self._tcfg(), stream.child("cal"))
         assert det.n_train == 2000     # rho = 0.5 of 4000
@@ -185,13 +183,13 @@ class TestEvaluate:
 
     def test_always_h1_rates(self):
         stream = SeedStream(5)
-        batch = surrogate_batch(stream, 2000)
+        batch = ObservationBatch(*surrogate_halves(stream, 2000))
         rep = evaluate(self._trivial_detector(-math.inf), batch)
         assert rep.far == 1.0 and rep.mdr == 0.0
 
     def test_ci_ordering(self):
         stream = SeedStream(5)
-        batch = surrogate_batch(stream, 2000)
+        batch = ObservationBatch(*surrogate_halves(stream, 2000))
         rep = evaluate(self._trivial_detector(0.0), batch)
         assert rep.far_ci[0] <= rep.far <= rep.far_ci[1]
         assert rep.mdr_ci[0] <= rep.mdr <= rep.mdr_ci[1]
@@ -199,7 +197,7 @@ class TestEvaluate:
 
     def test_single_hypothesis_batch(self):
         y = sample_gamma(SeedStream(5).child("h0"), 5, NOISE, size=100)
-        batch = ObservationBatch(y, np.zeros(100, np.int8))
+        batch = ObservationBatch(y, np.empty(0))
         rep = evaluate(self._trivial_detector(0.0), batch)
         assert rep.mdr is None and rep.mdr_ci is None
         assert rep.far is not None

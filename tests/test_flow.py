@@ -214,14 +214,16 @@ class TestTraining:
             train(np.array([1.0, 2.0]), TrainConfig(epochs=1, batch_size=256))
 
     # unchecked, a negative batch size leaves the batch loop empty and train
-    # returns the untrained init without an error; n_blocks = -1 fails
-    # inside numpy, and hidden = (0,) builds a zero-width network
+    # returns the untrained init without an error, and so does a NaN
+    # learning rate (its hold-out NLL never beats the first); n_blocks = -1
+    # fails inside numpy, and hidden = (0,) builds a zero-width network
     @pytest.mark.parametrize("kwargs,match", [
         ({"batch_size": 0}, "batch size"), ({"batch_size": -5}, "batch size"),
         ({"n_blocks": 0}, "block"), ({"n_blocks": -1}, "block"),
         ({"hidden": (0,)}, "hidden"), ({"hidden": (8, 0)}, "hidden"),
+        ({"learning_rate": math.nan}, "learning rate"),
     ], ids=["batch_size=0", "batch_size=-5", "n_blocks=0", "n_blocks=-1",
-            "hidden=0", "hidden=8,0"])
+            "hidden=0", "hidden=8,0", "learning_rate=nan"])
     def test_sizes_must_be_positive(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kwargs)
@@ -288,17 +290,20 @@ class TestSerialization:
         assert peak < 5e6
 
     # complete files (as many values as the header asks for) whose header
-    # asks for no dimension, no block or a zero-width layer
-    @pytest.mark.parametrize("dim,n_blocks,hidden,match", [
-        (0, 1, (), "zero-dimensional"),
-        (1, 0, (8,), "a flow needs at least one block"),
-        (1, 2, (8, 0), "hidden widths"),
-    ], ids=["zero-dim", "no-blocks", "zero-width"])
-    def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, hidden, match):
+    # asks for no dimension, no block, a zero-width layer or an enrichment
+    # flag other than 0 and 1
+    @pytest.mark.parametrize("dim,n_blocks,hidden,enrich,match", [
+        (0, 1, (), 1, "zero-dimensional"),
+        (1, 0, (8,), 1, "a flow needs at least one block"),
+        (1, 2, (8, 0), 1, "hidden widths"),
+        (1, 2, (8,), 7, "enrichment flag must be 0 or 1"),
+    ], ids=["zero-dim", "no-blocks", "zero-width", "enrichment-flag"])
+    def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, hidden, enrich, match):
         n_theta = n_blocks * sum(math.prod(s) for s in flow.FlowBlock.param_shapes(dim, hidden, True))
         path = tmp_path / "model.flow"
         path.write_bytes(b"DSCFLOW1"
-                         + struct.pack(f"<IIIB{len(hidden)}I", dim, n_blocks, len(hidden), 1, *hidden)
+                         + struct.pack(f"<IIIB{len(hidden)}I", dim, n_blocks, len(hidden), enrich,
+                                       *hidden)
                          + np.zeros(2 * dim + n_theta).astype("<f8").tobytes())
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + match):
             load_flow(path)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -149,6 +150,23 @@ class TestValidationSuite:
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_does_not_import_scipy_stats():
+    """Gamma CDFs and quantiles come from scipy.special: importing
+    scipy.stats costs about a second per process."""
+    found = []
+    for path in sorted((SRC / "discodet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"scipy.stats imported at {found}"
 
 
 def run_cli(args, cwd):
