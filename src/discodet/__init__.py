@@ -17,8 +17,9 @@ from .detector import (DetectionReport, DetectorConfig, FittedDetector,
 from .flow import FlowModel, TrainConfig, load_flow, save_flow, train
 from .statkit import SeedStream, binomial_ci, empirical_quantile, sample_gamma
 from .sweeps import SweepResult, emit_csv, run_sweep, run_validation
-from .theory import (GammaNull, alpha_bar, gamma_h0_logpdf, prop_variance,
-                     sjnr_empirical, sjnr_theory)
+from .theory import (GammaNull, alpha_bar, gamma_cdf, gamma_h0_logpdf, gamma_sf,
+                     prop_variance, radiometer_threshold, sjnr_empirical,
+                     sjnr_theory)
 
 __version__ = "1.0.0"
 
@@ -34,7 +35,7 @@ __all__ = [
     "FlowModel", "TrainConfig", "load_flow", "save_flow", "train",
     "SeedStream", "binomial_ci", "empirical_quantile", "sample_gamma",
     "SweepResult", "emit_csv", "run_sweep", "run_validation",
-    "GammaNull", "alpha_bar", "gamma_h0_logpdf", "prop_variance",
-    "sjnr_empirical", "sjnr_theory",
+    "GammaNull", "alpha_bar", "gamma_cdf", "gamma_h0_logpdf", "gamma_sf",
+    "prop_variance", "radiometer_threshold", "sjnr_empirical", "sjnr_theory",
     "__version__",
 ]

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # numpy 2 loads it on first use; every command draws from it
 
 __all__ = [
     "SeedStream",
@@ -117,7 +118,7 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float
         raise ValueError(f"successes must lie in [0, trials], got {successes}/{trials}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
-    z = float(ndtri(0.5 + level / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

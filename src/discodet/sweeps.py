@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from . import channel, detector, flow, statkit, theory
 from .config import ScenarioConfig, dump_config
@@ -272,13 +271,14 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     # exactness of the Gamma null via Kolmogorov-Smirnov over 10 seeds
     n_stats = 100_000
     n_dcfg = cfg["detector.n_samples"]
+    null = theory.GammaNull(n_dcfg, noise)
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
     ranks = np.arange(n_stats + 1.0) / n_stats
     passes = 0
     for i in range(10):
         y = channel.gen_willie_statistics(root.child("validate/ks", i), scen,
                                           "H0", n_stats, n_dcfg)
-        cdf = special.gammainc(n_dcfg, np.sort(y) / noise)
+        cdf = theory.gamma_cdf(null, np.sort(y))
         stat = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
         crit = 1.628 / math.sqrt(n_stats)   # 1% significance, large n
         passes += bool(stat < crit)
@@ -320,7 +320,6 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
                                   f"density mass on [-10, 10] = {mass:.6f}"))
 
     # FAR calibration and the tractable-surrogate comparison
-    null = theory.GammaNull(n_dcfg, noise)
     sur_cfg = flow.TrainConfig(seed=root.derive("validate/sur-seed").root_seed,
                                epochs=120)
     dcfg = detector.DetectorConfig(alpha=0.05, rho=cfg["detector.rho"],
@@ -344,8 +343,8 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
 
     h1_eval = statkit.sample_gamma(gen_e, n_dcfg, 2 * noise, size=n_eval)
     mdr = float(np.mean(~detector.classify(det, h1_eval)))
-    y_crit = special.gammaincinv(n_dcfg, 1 - dcfg.alpha) * noise   # radiometer threshold
-    mdr_opt = float(special.gammainc(n_dcfg, y_crit / (2 * noise)))
+    y_crit = theory.radiometer_threshold(null, dcfg.alpha)
+    mdr_opt = float(theory.gamma_cdf(theory.GammaNull(n_dcfg, 2 * noise), y_crit))
     checks.append(ValidationCheck("surrogate_np_oracle", mdr <= mdr_opt + 0.05,
                                   f"pipeline MDR {mdr:.4f} vs analytic optimum {mdr_opt:.4f}"))
     return checks

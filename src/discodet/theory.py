@@ -1,8 +1,9 @@
 """Closed-form statistics used as oracles and as the analytic half of the test.
 
-Covers the Gamma null distribution of the radiometer statistic, the
-second moment of the cascaded disco-surface channel, and the asymptotic
-signal-to-jamming-plus-noise ratio (SJNR) at the receiver.
+Covers the Gamma null distribution of the radiometer statistic (its
+log-density, its Erlang tail and CDF, and the radiometer's level-alpha
+threshold), the second moment of the cascaded disco-surface channel, and
+the asymptotic signal-to-jamming-plus-noise ratio (SJNR) at the receiver.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ __all__ = [
     "alpha_bar",
     "prop_variance",
     "gamma_h0_logpdf",
+    "gamma_sf",
+    "gamma_cdf",
+    "radiometer_threshold",
     "sjnr_theory",
     "sjnr_empirical",
 ]
@@ -32,7 +36,7 @@ class GammaNull:
     def __post_init__(self):
         if int(self.shape) != self.shape or self.shape < 1:
             raise ValueError(f"shape must be a positive integer, got {self.shape}")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
@@ -65,9 +69,9 @@ def prop_variance(n_elements: int, abar: float, loss_g: float, loss_i: float) ->
     linear large-scale attenuations of the two hops: the element terms are
     independent and zero-mean, each with second moment abar / (loss_g * loss_i).
     """
-    if loss_g <= 0 or loss_i <= 0:
+    if not (loss_g > 0 and loss_i > 0):
         raise ValueError("large-scale losses must be positive")
-    if abar < 0 or n_elements < 0:
+    if not (abar >= 0 and n_elements >= 0):
         raise ValueError("n_elements and abar must be non-negative")
     return n_elements * abar / (loss_g * loss_i)
 
@@ -88,13 +92,60 @@ def gamma_h0_logpdf(null: GammaNull, y: np.ndarray) -> np.ndarray:
     return np.where(arr == 0.0, -math.log(s) if n == 1 else -np.inf, out)
 
 
+def _erlang_sf(n: int, x):
+    """Q(n, x) = sum_{k<n} e^{-x} x^k / k!, the Gamma(n, 1) upper tail at x >= 0.
+
+    Each term is exp(k log x - x - log k!): started from e^{-x}, the plain
+    recurrence underflows to 0 for x > 745 while the tail itself does not.
+    """
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    total = np.exp(-x)
+    for k in range(1, n):
+        total = total + np.exp(k * log_x - x - _log_gamma_int(k + 1))
+    return total
+
+
+def gamma_sf(null: GammaNull, y: np.ndarray) -> np.ndarray:
+    """Upper tail P(Y > y) of the Gamma(shape, scale) law at each y >= 0."""
+    arr = np.asarray(y, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("gamma_sf requires y >= 0")
+    return _erlang_sf(null.shape, arr / null.scale)
+
+
+def gamma_cdf(null: GammaNull, y: np.ndarray) -> np.ndarray:
+    """CDF P(Y <= y) of the Gamma(shape, scale) law at each y >= 0."""
+    return 1.0 - gamma_sf(null, y)
+
+
+def radiometer_threshold(null: GammaNull, alpha: float) -> float:
+    """Level-alpha threshold of the radiometer test Y > y under the null.
+
+    Returns the smallest y found where the tail Q(shape, y / scale) is at
+    most alpha, by bisection on a doubling bracket.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    n = null.shape
+    lo, hi = 0.0, float(n)
+    while _erlang_sf(n, hi) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _erlang_sf(n, mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi * null.scale
+
+
 def sjnr_theory(p0: float, n_elements: int, abar: float, loss_direct: float,
                 loss_g: float, loss_i: float, noise_power: float) -> float:
     """Asymptotic SJNR at the legitimate receiver (linear ratio).
 
     (p0 / loss_direct) / (p0 * n_elements * abar / (loss_g * loss_i) + noise_power)
     """
-    if min(p0, loss_direct, loss_g, loss_i, noise_power) <= 0:
+    if not all(v > 0 for v in (p0, loss_direct, loss_g, loss_i, noise_power)):
         raise ValueError("powers and losses must be positive")
     jam = p0 * n_elements * abar / (loss_g * loss_i)
     return (p0 / loss_direct) / (jam + noise_power)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from discodet.statkit import (SeedStream, binomial_ci, empirical_quantile,
                               sample_cgauss, sample_gamma)
@@ -117,6 +117,19 @@ class TestBinomialCI:
         lo, hi = binomial_ci(10, 100, 0.95)
         assert lo == pytest.approx(0.05522913706067510, rel=1e-12)
         assert hi == pytest.approx(0.17436566150491345, rel=1e-12)
+
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("k,n", [(10, 100), (30, 200), (500, 1000)])
+    def test_matches_wilson_with_ndtri_z(self, k, n, level):
+        # the interval written out with scipy's normal quantile as z
+        z = float(special.ndtri(0.5 + level / 2.0))
+        p = k / n
+        denom = 1.0 + z * z / n
+        center = (p + z * z / (2 * n)) / denom
+        half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        lo, hi = binomial_ci(k, n, level)
+        assert lo == pytest.approx(center - half, rel=1e-15, abs=0)
+        assert hi == pytest.approx(center + half, rel=1e-15, abs=0)
 
     def test_boundary_counts(self):
         lo, hi = binomial_ci(0, 50)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from discodet.channel import DrisProfile, dbm_to_watts
-from discodet.theory import (GammaNull, alpha_bar, gamma_h0_logpdf,
-                             prop_variance, sjnr_empirical, sjnr_theory)
+from discodet.theory import (GammaNull, alpha_bar, gamma_cdf, gamma_h0_logpdf,
+                             gamma_sf, prop_variance, radiometer_threshold,
+                             sjnr_empirical, sjnr_theory)
 
 NOISE = dbm_to_watts(-170.0 + 10.0 * math.log10(180e3))
 
@@ -50,6 +51,12 @@ class TestPropVariance:
         with pytest.raises(ValueError):
             prop_variance(-1, 0.82, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(10, math.nan, 1.0, 1.0), (10, 0.82, math.nan, 1.0),
+                                      (10, 0.82, 1.0, math.nan)])
+    def test_nan_rejected(self, args):
+        with pytest.raises(ValueError):
+            prop_variance(*args)
+
 
 class TestGammaH0Logpdf:
     @pytest.mark.parametrize("shape,scale", [(1, 1.0), (5, NOISE), (20, 0.3), (25, 2.0)])
@@ -73,7 +80,72 @@ class TestGammaH0Logpdf:
             GammaNull(0, 1.0)
         with pytest.raises(ValueError):
             GammaNull(5, 0.0)
+        with pytest.raises(ValueError):
+            GammaNull(5, math.nan)
         assert GammaNull(5, 2.0).mean == 10.0
+
+
+# 0 to past 2N, then past 745, where e^{-x} alone underflows to 0
+SHAPES = [1, 2, 5, 20, 200]
+
+
+def _grid(shape):
+    return np.concatenate([np.linspace(0.0, 3.0 * shape + 60.0, 2001),
+                           np.linspace(700.0, 2000.0, 400)])
+
+
+class TestGammaTail:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cdf_and_sf_match_scipy(self, shape):
+        x = _grid(shape)
+        null = GammaNull(shape, 1.0)
+        np.testing.assert_allclose(gamma_cdf(null, x), special.gammainc(shape, x),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gamma_sf(null, x), special.gammaincc(shape, x),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sf_relative_in_upper_tail(self, shape):
+        x = _grid(shape)
+        x = x[x > shape]
+        expected = special.gammaincc(shape, x)
+        keep = expected > 1e-300     # a normal float: relative error is defined
+        got = gamma_sf(GammaNull(shape, 1.0), x)
+        np.testing.assert_allclose(got[keep], expected[keep], rtol=1e-11)
+        assert np.all(got[~keep] < 1e-300)
+        # for the larger shapes the grid checks normal tail values past 745
+        assert np.any(keep & (x > 745)) == (shape >= 20)
+
+    def test_scale_and_limits(self):
+        null = GammaNull(5, 2.5)
+        y = np.array([0.0, 1.0, 10.0, 40.0])
+        np.testing.assert_allclose(gamma_sf(null, y), special.gammaincc(5, y / 2.5),
+                                   rtol=1e-14)
+        assert gamma_sf(null, 0.0) == 1.0 and gamma_cdf(null, 0.0) == 0.0
+        with pytest.raises(ValueError):
+            gamma_sf(null, np.array([-1.0]))
+
+
+class TestRadiometerThreshold:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5])
+    def test_matches_scipy_quantile(self, shape, alpha):
+        scale = 2.5
+        got = radiometer_threshold(GammaNull(shape, scale), alpha)
+        # gammaincinv sees 1 - alpha rounded, worth 1e-10 relative at alpha = 1e-6
+        assert got == pytest.approx(special.gammaincinv(shape, 1 - alpha) * scale,
+                                    rel=1e-10)
+        assert special.gammaincc(shape, got / scale) == pytest.approx(alpha, rel=1e-12)
+
+    def test_physical_scale(self):
+        null = GammaNull(5, NOISE)
+        got = radiometer_threshold(null, 0.05)
+        assert got == pytest.approx(stats.gamma(a=5, scale=NOISE).ppf(0.95), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            radiometer_threshold(GammaNull(5, 1.0), alpha)
 
 
 class TestSjnr:
@@ -115,3 +187,11 @@ class TestSjnr:
     def test_theory_validation(self):
         with pytest.raises(ValueError):
             sjnr_theory(0.0, 10, 0.82, 1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("position", range(5))
+    def test_nan_rejected(self, position):
+        args = [1.0, 1.0, 1.0, 1.0, 1.0]
+        args[position] = math.nan
+        p0, loss_d, loss_g, loss_i, noise = args
+        with pytest.raises(ValueError):
+            sjnr_theory(p0, 10, 0.82, loss_d, loss_g, loss_i, noise)
