@@ -134,10 +134,6 @@ class DrisProfile:
         if not all(0 <= a <= 1 for a in self.amplitudes):
             raise ValueError("amplitudes must lie in [0, 1]")
 
-    @property
-    def bits(self) -> int:
-        return len(self.phases).bit_length() - 1
-
     def coeff_table(self) -> np.ndarray:
         return np.asarray(self.amplitudes) * np.exp(1j * np.asarray(self.phases))
 
@@ -228,7 +224,7 @@ def sample_rician_g(gen: np.random.Generator, geometry: Geometry, kappa: float,
     """
     if kappa < 0:
         raise ValueError("Rician factor must be non-negative")
-    g = sample_cgauss(gen, 0.0, 1.0, size=(size, geometry.n_elements))
+    g = sample_cgauss(gen, 1.0, size=(size, geometry.n_elements))
     g *= math.sqrt(1 / (1 + kappa))
     g += math.sqrt(kappa / (1 + kappa)) * geometry.steering
     return g
@@ -288,7 +284,7 @@ def _element_cascade(gen: np.random.Generator, geometry: Geometry, kappa: float,
     element's phase index.
     """
     a = sample_rician_g(gen, geometry, kappa, size=n_intervals)
-    a *= sample_cgauss(gen, 0.0, 1.0, size=a.shape)
+    a *= sample_cgauss(gen, 1.0, size=a.shape)
     idx = _phase_indices(gen, profile, (n_intervals, n_symbols, a.shape[1]))
     return _contract(a, idx, profile.coeff_table())
 
@@ -326,7 +322,7 @@ def _pattern_cascade(gen: np.random.Generator, geometry: Geometry, kappa: float,
     m = counts[hit]
     w = gen.noncentral_chisquare(2 * m, 2 * kappa * m) / (2 * (1 + kappa))
     amp = np.zeros(counts.shape, dtype=complex)
-    amp[hit] = np.sqrt(w) * sample_cgauss(gen, 0.0, 1.0, size=m.size)
+    amp[hit] = np.sqrt(w) * sample_cgauss(gen, 1.0, size=m.size)
     return amp @ table
 
 
@@ -395,7 +391,7 @@ def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothes
     noise_var = scenario.fading.noise_w
 
     if hypothesis == "H0":
-        noise = sample_cgauss(gen, 0.0, noise_var, size=(n_intervals, n_samples))
+        noise = sample_cgauss(gen, noise_var, size=(n_intervals, n_samples))
         return np.sum(np.abs(noise) ** 2, axis=1)
 
     geo, fad = scenario.geometry, scenario.fading
@@ -403,11 +399,11 @@ def gen_willie_statistics(gen: np.random.Generator, scenario: Scenario, hypothes
     loss_i_w = path_loss_linear(fad.dris_willie, geo.distance(geo.dris_center, geo.willie))
 
     def draw(k: int) -> np.ndarray:
-        h_d = sample_cgauss(gen, 0.0, 1.0, size=k) / math.sqrt(loss_d_w)
+        h_d = sample_cgauss(gen, 1.0, size=k) / math.sqrt(loss_d_w)
         h_tot = h_d[:, None] + _cascade(gen, geo, fad, scenario.profile, loss_i_w,
                                         k, n_samples)
-        s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(k, n_samples))
-        noise = sample_cgauss(gen, 0.0, noise_var, size=(k, n_samples))
+        s = sample_cgauss(gen, scenario.p0_watts, size=(k, n_samples))
+        noise = sample_cgauss(gen, noise_var, size=(k, n_samples))
         y = h_tot * s + noise
         return np.sum(np.abs(y) ** 2, axis=1)
 
@@ -436,9 +432,9 @@ def gen_bob_signals(gen: np.random.Generator, scenario: Scenario, n_symbols: int
         d_db = np.linalg.norm(bpos - np.asarray(geo.dris_center, float), axis=1)
         loss_d_b = path_loss_linear(fad.alice_bob, d_ab)
         loss_i_b = path_loss_linear(fad.dris_bob, d_db)
-        h_d = sample_cgauss(gen, 0.0, 1.0, size=k) / np.sqrt(loss_d_b)
+        h_d = sample_cgauss(gen, 1.0, size=k) / np.sqrt(loss_d_b)
         h_jam = _cascade(gen, geo, fad, scenario.profile, loss_i_b, k, m)
-        s = sample_cgauss(gen, 0.0, scenario.p0_watts, size=(k, m))
+        s = sample_cgauss(gen, scenario.p0_watts, size=(k, m))
         return np.stack([np.abs(h_d[:, None] * s) ** 2, np.abs(h_jam * s) ** 2],
                         axis=-1).reshape(-1, 2)
 

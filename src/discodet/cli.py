@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import detector, flow, sweeps, theory
 from .config import DEFAULT_CONFIG, ConfigError, dump_config, parse_config
@@ -80,10 +81,11 @@ def _cmd_validate(args) -> int:
 
 def _run_sweep(args, sweep_var: str) -> int:
     cfg = _load_config(args)
+    t0 = time.perf_counter()
     results = sweeps.run_sweep(cfg, sweep_var)
+    elapsed = time.perf_counter() - t0
     sweeps.emit_csv(results, args.out, cfg)
-    total = sum(r.wall_seconds for r in results)
-    print(f"wrote {len(results)} rows to {args.out} ({total:.1f}s)")
+    print(f"wrote {len(results)} rows to {args.out} ({elapsed:.1f}s)")
     return 0
 
 

@@ -227,7 +227,7 @@ class ScenarioConfig:
             batch_size=self["flow.batch_size"],
             seed=seed,
             n_blocks=self["flow.layers"],
-            hidden=(self["flow.hidden"],),
+            hidden=self["flow.hidden"],
         )
 
     def with_overrides(self, **overrides) -> "ScenarioConfig":

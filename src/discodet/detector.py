@@ -51,10 +51,10 @@ class ObservationBatch:
 
 
 def _statistics(y) -> np.ndarray:
-    """``y`` as a float array, rejected unless every entry is >= 0 (NaN fails)."""
+    """``y`` as a float array, rejected unless every entry is finite and >= 0."""
     arr = np.asarray(y, dtype=float)
-    if not np.all(arr >= 0):
-        raise ValueError("power statistics must be non-negative")
+    if not np.all((arr >= 0) & (arr < np.inf)):      # NaN fails both
+        raise ValueError("power statistics must be finite and non-negative")
     return arr
 
 
@@ -165,8 +165,7 @@ def fit_supervised(statistics: np.ndarray, null: GammaNull, config: DetectorConf
 def llr(detector: FittedDetector, y: np.ndarray) -> np.ndarray:
     """Log-likelihood ratio of each statistic of the 1-D array ``y``: learned
     alternative log-density minus null log-pdf."""
-    if np.any(y < 0):
-        raise ValueError("llr requires y >= 0")
+    y = _statistics(y)
     return detector.flow.log_prob(y[:, None]) - gamma_h0_logpdf(detector.null, y)
 
 

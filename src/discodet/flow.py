@@ -1,21 +1,23 @@
 """Masked autoregressive flow density estimator, self-contained in numpy.
 
 The flow stacks affine autoregressive blocks whose per-dimension shift and
-log-scale are produced by degree-masked dense networks; every second block
-sees its input in reversed order.  Log-densities are exact via the
-triangular change-of-variables, gradients are hand-written reverse-mode,
-and training uses Adam on the average negative log-likelihood.  All
-parameters of a model live in one flat vector ``theta`` (their gradients
-in ``grad``); every weight, bias and head array is a view into it.
+log-scale are produced by degree-masked dense networks with one tanh
+hidden layer; every second block sees its input in reversed order.
+Log-densities are exact via the triangular change-of-variables, gradients
+are hand-written reverse-mode, and training uses Adam on the average
+negative log-likelihood.  All parameters of a model live in one flat
+vector ``theta`` (their gradients in ``grad``); every weight, bias and
+head array is a view into it.
 
 For one-dimensional data the masked conditioner has no inputs, so a pure
-affine stack would only span Gaussian shapes.  Each block therefore
-composes the affine map with a learnable monotone element-wise map
-g(u) = u + a*tanh(b*u), parameterized so a*b is in (-1, 1) which keeps
-g' > 0.  With a = 0 the block reduces to the plain affine transform.
-Such a conditioner is the same for every row, so a 1-D flow computes all
-blocks' conditioners once per call, stacked over a leading block axis,
-and runs the per-row chain on their scalars (``_forward_1d``).
+affine stack would only span Gaussian shapes.  Each block of a 1-D flow,
+and only of a 1-D flow, therefore composes the affine map with a
+learnable monotone element-wise map g(u) = u + a*tanh(b*u), parameterized
+so a*b is in (-1, 1) which keeps g' > 0.  With a = 0 the block reduces to
+the plain affine transform.  Such a conditioner is the same for every
+row, so a 1-D flow computes all blocks' conditioners once per call,
+stacked over a leading block axis, and runs the per-row chain on their
+scalars (``_forward_1d``).
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     n_blocks: int = 5
-    hidden: tuple[int, ...] = (64,)
-    enrichment: bool | None = None   # None: on for d=1, off otherwise
+    hidden: int = 64        # width of each block's one hidden layer
 
     def __post_init__(self):
         if not self.learning_rate > 0:       # NaN fails too
@@ -67,8 +68,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.n_blocks < 1:
             raise ValueError("a flow needs at least one block")
-        if not all(width >= 1 for width in self.hidden):
-            raise ValueError("hidden widths must be >= 1")
+        if self.hidden < 1:
+            raise ValueError("the hidden width must be >= 1")
 
 
 def standardizer_fit(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,77 +103,57 @@ def _views(buf: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
             for part, s in zip(np.split(buf, offsets, axis=-1), shapes)]
 
 
-def _make_degrees(dim: int, hidden: tuple[int, ...]) -> list[np.ndarray]:
-    degrees = [np.arange(1, dim + 1)]
-    for width in hidden:
-        degrees.append(np.arange(width) % max(1, dim - 1) + min(1, dim - 1))
-    return degrees
-
-
 class MadeNetwork:
-    """Degree-masked dense network emitting per-dimension (shift, log-scale).
+    """Degree-masked dense network with one tanh hidden layer, emitting
+    per-dimension (shift, log-scale).
 
     Output t depends only on inputs with index < t; with dim = 1 the
     outputs are input-independent learned constants, which the 1-D flow
     path computes without calling this class.
     """
 
-    def __init__(self, dim: int, hidden: tuple[int, ...], init_gen: np.random.Generator,
+    def __init__(self, dim: int, hidden: int, init_gen: np.random.Generator,
                  params: list[np.ndarray], grads: list[np.ndarray]):
         """``params``/``grads`` are zeroed views laid out by ``param_shapes``."""
         self.dim = dim
-        self.hidden = tuple(hidden)
-        degrees = _make_degrees(dim, self.hidden)
-        self.masks = [
-            (degrees[i][:, None] <= degrees[i + 1][None, :]).astype(float)
-            for i in range(len(degrees) - 1)
-        ]
-        self.out_mask = (degrees[-1][:, None] < degrees[0][None, :]).astype(float)
-        n = 2 * len(self.masks)
-        self.weights, self.biases = params[0:n:2], params[1:n:2]
-        self.g_weights, self.g_biases = grads[0:n:2], grads[1:n:2]
+        self.hidden = hidden
+        deg_in = np.arange(1, dim + 1)
+        deg_hidden = np.arange(hidden) % max(1, dim - 1) + min(1, dim - 1)
+        self.mask = (deg_in[:, None] <= deg_hidden[None, :]).astype(float)
+        self.out_mask = (deg_hidden[:, None] < deg_in[None, :]).astype(float)
         # zero-initialized heads: the flow starts as the identity map
-        self.w_mu, self.b_mu, self.w_s, self.b_s = params[n:]
-        self.g_w_mu, self.g_b_mu, self.g_w_s, self.g_b_s = grads[n:]
-        for w, mask in zip(self.weights, self.masks):
-            bound = math.sqrt(6.0 / sum(mask.shape))
-            w[...] = init_gen.uniform(-bound, bound, size=mask.shape) * mask
+        self.w, self.b, self.w_mu, self.b_mu, self.w_s, self.b_s = params
+        self.g_w, self.g_b, self.g_w_mu, self.g_b_mu, self.g_w_s, self.g_b_s = grads
+        bound = math.sqrt(6.0 / sum(self.mask.shape))
+        self.w[...] = init_gen.uniform(-bound, bound, size=self.mask.shape) * self.mask
 
     @staticmethod
-    def param_shapes(dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Shapes in declaration order: (weight, bias) per layer, then the
-        shift head (weight, bias) and the log-scale head (weight, bias)."""
-        widths = (dim, *hidden)
-        shapes = []
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            shapes += [(fan_in, fan_out), (fan_out,)]
-        return shapes + [(widths[-1], dim), (dim,)] * 2
+    def param_shapes(dim: int, hidden: int) -> list[tuple[int, ...]]:
+        """Shapes in declaration order: the hidden layer's (weight, bias),
+        the shift head's (weight, bias), the log-scale head's (weight, bias)."""
+        return [(dim, hidden), (hidden,), (hidden, dim), (dim,), (hidden, dim), (dim,)]
 
     def forward(self, y: np.ndarray, need_cache: bool = False):
-        h = y
-        acts = [h]
-        for w, b, mask in zip(self.weights, self.biases, self.masks):
-            h = np.tanh(h @ (w * mask) + b)
-            acts.append(h)
+        h = np.tanh(y @ (self.w * self.mask) + self.b)
         mu = h @ (self.w_mu * self.out_mask) + self.b_mu
         s = h @ (self.w_s * self.out_mask) + self.b_s
         if need_cache:
-            return mu, s, acts
+            return mu, s, h
         return mu, s
 
-    def backward(self, acts: list[np.ndarray], dmu: np.ndarray, ds: np.ndarray) -> np.ndarray:
-        h_last = acts[-1]
-        self.g_w_mu += (h_last.T @ dmu) * self.out_mask
+    def backward(self, y: np.ndarray, h: np.ndarray, dmu: np.ndarray,
+                 ds: np.ndarray) -> np.ndarray:
+        """Accumulates parameter gradients for input ``y`` with hidden
+        activations ``h``; returns dLoss/dy."""
+        self.g_w_mu += (h.T @ dmu) * self.out_mask
         self.g_b_mu += dmu.sum(axis=0)
-        self.g_w_s += (h_last.T @ ds) * self.out_mask
+        self.g_w_s += (h.T @ ds) * self.out_mask
         self.g_b_s += ds.sum(axis=0)
         dh = dmu @ (self.w_mu * self.out_mask).T + ds @ (self.w_s * self.out_mask).T
-        for i in range(len(self.weights) - 1, -1, -1):
-            dpre = dh * (1.0 - acts[i + 1] ** 2)
-            self.g_weights[i] += (acts[i].T @ dpre) * self.masks[i]
-            self.g_biases[i] += dpre.sum(axis=0)
-            dh = dpre @ (self.weights[i] * self.masks[i]).T
-        return dh
+        dpre = dh * (1.0 - h ** 2)
+        self.g_w += (y.T @ dpre) * self.mask
+        self.g_b += dpre.sum(axis=0)
+        return dpre @ (self.w * self.mask).T
 
 
 def _softplus(x):
@@ -187,21 +168,20 @@ class FlowBlock:
     """One autoregressive stage: optional input reversal, affine map with
     log-scale head, optional monotone element-wise enrichment."""
 
-    def __init__(self, dim: int, hidden: tuple[int, ...], reverse: bool, enrich: bool,
+    def __init__(self, dim: int, hidden: int, reverse: bool, enrich: bool,
                  init_gen: np.random.Generator, params: list[np.ndarray],
                  grads: list[np.ndarray]):
         self.dim = dim
         self.reverse = reverse
         self.enrich = enrich
-        n = len(MadeNetwork.param_shapes(dim, hidden))
-        self.made = MadeNetwork(dim, hidden, init_gen, params[:n], grads[:n])
+        self.made = MadeNetwork(dim, hidden, init_gen, params[:6], grads[:6])
         if enrich:
             # a = tanh(ea)/b starts at 0: identity enrichment; b = softplus(eb)
-            self.ea_raw, self.eb_raw = params[n:]
-            self.g_ea_raw, self.g_eb_raw = grads[n:]
+            self.ea_raw, self.eb_raw = params[6:]
+            self.g_ea_raw, self.g_eb_raw = grads[6:]
 
     @staticmethod
-    def param_shapes(dim: int, hidden: tuple[int, ...], enrich: bool) -> list[tuple[int, ...]]:
+    def param_shapes(dim: int, hidden: int, enrich: bool) -> list[tuple[int, ...]]:
         return MadeNetwork.param_shapes(dim, hidden) + [(dim,), (dim,)] * enrich
 
     def _enrich_ab(self):
@@ -212,7 +192,7 @@ class FlowBlock:
     def forward(self, x: np.ndarray):
         """Density-direction transform; returns (z, logdet, cache)."""
         x_in = x[:, ::-1] if self.reverse else x
-        mu, s_raw, acts = self.made.forward(x_in, need_cache=True)
+        mu, s_raw, h = self.made.forward(x_in, need_cache=True)
         s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
         u = (x_in - mu) * np.exp(-s)
         logdet = -s.sum(axis=1)
@@ -225,7 +205,7 @@ class FlowBlock:
         else:
             t = gp = None
             z = u
-        return z, logdet, (x_in, mu, s_raw, s, u, t, gp, acts)
+        return z, logdet, (x_in, mu, s_raw, s, u, t, gp, h)
 
     def backward(self, cache, dz: np.ndarray, c_logdet: float) -> np.ndarray:
         """Reverse-mode through the block.
@@ -234,7 +214,7 @@ class FlowBlock:
         sample's logdet in the loss.  Accumulates parameter gradients and
         returns dLoss/dx.
         """
-        x_in, mu, s_raw, s, u, t, gp, acts = cache
+        x_in, mu, s_raw, s, u, t, gp, h = cache
         if self.enrich:
             a, b = self._enrich_ab()
             one_mt2 = 1.0 - t * t
@@ -253,7 +233,7 @@ class FlowBlock:
         ds = -du * u - c_logdet
         ds_raw = ds * (np.abs(s_raw) < LOG_SCALE_CLAMP)
         dmu = -du * exp_ms
-        dx_in = du * exp_ms + self.made.backward(acts, dmu, ds_raw)
+        dx_in = du * exp_ms + self.made.backward(x_in, h, dmu, ds_raw)
         return dx_in[:, ::-1] if self.reverse else dx_in
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
@@ -287,9 +267,10 @@ class FlowModel:
     """Standardizer plus a stack of autoregressive blocks over a standard
     normal base; supports exact log-density, inversion, and gradients."""
 
-    def __init__(self, dim: int, n_blocks: int, hidden: tuple[int, ...], enrich: bool,
-                 init_gen: np.random.Generator, mu_std: np.ndarray, sigma_std: np.ndarray):
+    def __init__(self, dim: int, n_blocks: int, hidden: int, init_gen: np.random.Generator,
+                 mu_std: np.ndarray, sigma_std: np.ndarray):
         self.dim = dim
+        enrich = self.enriched(dim)
         shapes = FlowBlock.param_shapes(dim, hidden, enrich)
         self.theta = np.zeros(n_blocks * sum(math.prod(s) for s in shapes))
         self.grad = np.zeros_like(self.theta)
@@ -298,8 +279,6 @@ class FlowModel:
         # the same storage, one view per parameter with a leading block axis
         self._stacked = _views(self.theta.reshape(n_blocks, -1), shapes)
         self._g_stacked = _views(self.grad.reshape(n_blocks, -1), shapes)
-        self._n_layers = len(hidden)
-        self._enrich = enrich
         k = len(shapes)
         self.blocks = [
             FlowBlock(dim, hidden, reverse=(i % 2 == 1), enrich=enrich, init_gen=init_gen,
@@ -309,6 +288,13 @@ class FlowModel:
         ]
         self.mu_std = np.asarray(mu_std, dtype=float).reshape(dim)
         self.sigma_std = np.asarray(sigma_std, dtype=float).reshape(dim)
+
+    @staticmethod
+    def enriched(dim: int) -> bool:
+        """Whether a ``dim``-dimensional flow's blocks carry the monotone
+        enrichment: exactly when dim = 1, where the affine stack alone
+        spans only Gaussian shapes."""
+        return dim == 1
 
     def parameters(self) -> list[np.ndarray]:
         """Every parameter array in declaration order, as views into ``theta``."""
@@ -345,14 +331,13 @@ class FlowModel:
 
 def build_flow(dim: int, config: TrainConfig, mu_std=None, sigma_std=None) -> FlowModel:
     """Construct a flow with the configured architecture and a seeded init."""
-    enrich = config.enrichment if config.enrichment is not None else dim == 1
     init_gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(0x11AD, 0))))
     if mu_std is None:
         mu_std = np.zeros(dim)
     if sigma_std is None:
         sigma_std = np.ones(dim)
-    return FlowModel(dim, config.n_blocks, config.hidden, enrich, init_gen, mu_std, sigma_std)
+    return FlowModel(dim, config.n_blocks, config.hidden, init_gen, mu_std, sigma_std)
 
 
 def nll(model: FlowModel, batch) -> float:
@@ -416,33 +401,21 @@ def _conditioner_1d(model: FlowModel) -> dict:
     """Every block's conditioner output and enrichment pair for a 1-D flow.
 
     Arrays have a leading block axis; ``FlowBlock.forward``'s operations
-    on them are kept, less the first layer's zero-masked product (its mask
-    is all zero for dim = 1; every later mask is all one).  The row chain
-    reads the per-block values as Python floats."""
-    p = model._stacked
-    n = 2 * model._n_layers
-    w_mu, b_mu, w_s, b_s = p[n:n + 4]
-    acts = []
-    if model._n_layers:
-        h = np.tanh(p[1])
-        acts.append(h)
-        for w, b in zip(p[2:n:2], p[3:n:2]):
-            h = np.tanh(np.matmul(h[:, None], w)[:, 0] + b)
-            acts.append(h)
-        mu = np.matmul(h[:, None], w_mu)[:, 0, 0] + b_mu[:, 0]
-        s_raw = np.matmul(h[:, None], w_s)[:, 0, 0] + b_s[:, 0]
-    else:   # no hidden layer: the heads' only input is masked out
-        mu, s_raw = b_mu[:, 0], b_s[:, 0]
+    on them are kept, less the hidden layer's zero-masked product (its
+    mask is all zero for dim = 1; the heads' masks are all one).  The row
+    chain reads the per-block values as Python floats."""
+    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = model._stacked
+    h = np.tanh(b)
+    mu = np.matmul(h[:, None], w_mu)[:, 0, 0] + b_mu[:, 0]
+    s_raw = np.matmul(h[:, None], w_s)[:, 0, 0] + b_s[:, 0]
     s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
-    cond = {"acts": acts, "mu": mu.tolist(), "s_raw": s_raw.tolist(), "s": s.tolist(),
-            "exp_ms": np.exp(-s).tolist()}
-    if model._enrich:
-        ta = np.tanh(p[n + 4][:, 0])
-        b = _softplus(p[n + 5][:, 0])
-        a = ta / b
-        cond.update(ta=ta, b_arr=b, a=a.tolist(), b=b.tolist(), ab=(a * b).tolist(),
-                    two_b=(2.0 * b).tolist(), dgp_coef=(-2.0 * a * b * b).tolist())
-    return cond
+    ta = np.tanh(ea_raw[:, 0])
+    slope = _softplus(eb_raw[:, 0])
+    a = ta / slope
+    return {"h": h, "mu": mu.tolist(), "s_raw": s_raw.tolist(), "s": s.tolist(),
+            "exp_ms": np.exp(-s).tolist(), "ta": ta, "b_arr": slope, "a": a.tolist(),
+            "b": slope.tolist(), "ab": (a * slope).tolist(), "two_b": (2.0 * slope).tolist(),
+            "dgp_coef": (-2.0 * a * slope * slope).tolist()}
 
 
 def _forward_1d(model: FlowModel, y, keep: bool):
@@ -456,17 +429,11 @@ def _forward_1d(model: FlowModel, y, keep: bool):
     rows = []
     for k in range(len(model.blocks)):
         u = (x - cond["mu"][k]) * cond["exp_ms"][k]
-        ld = -cond["s"][k]
-        t = gp = one_mt2 = None
-        if model._enrich:
-            t = np.tanh(cond["b"][k] * u)
-            x = u + cond["a"][k] * t
-            one_mt2 = 1.0 - t * t
-            gp = 1.0 + cond["ab"][k] * one_mt2
-            ld = ld + np.log(gp)
-        else:
-            x = u
-        logdet = logdet + ld
+        t = np.tanh(cond["b"][k] * u)
+        x = u + cond["a"][k] * t
+        one_mt2 = 1.0 - t * t
+        gp = 1.0 + cond["ab"][k] * one_mt2
+        logdet = logdet + (np.log(gp) - cond["s"][k])
         if keep:
             rows.append((u, t, gp, one_mt2))
         del u, t, gp, one_mt2   # scoring holds one block's rows at a time
@@ -482,15 +449,12 @@ def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
     dz = dz[:, 0]
     for k in reversed(range(n_blocks)):
         u, t, gp, one_mt2 = rows[k]
-        if model._enrich:
-            a, b = cond["a"][k], cond["b"][k]
-            dgp = c_logdet / gp
-            du = dz * gp + dgp * cond["dgp_coef"][k] * t * one_mt2
-            da[k] = (dz * t).sum() + (dgp * b * one_mt2).sum()
-            db[k] = (dz * a * u * one_mt2).sum() \
-                + (dgp * a * one_mt2 * (1.0 - cond["two_b"][k] * t * u)).sum()
-        else:
-            du = dz
+        a, slope = cond["a"][k], cond["b"][k]
+        dgp = c_logdet / gp
+        du = dz * gp + dgp * cond["dgp_coef"][k] * t * one_mt2
+        da[k] = (dz * t).sum() + (dgp * slope * one_mt2).sum()
+        db[k] = (dz * a * u * one_mt2).sum() \
+            + (dgp * a * one_mt2 * (1.0 - cond["two_b"][k] * t * u)).sum()
         neg_du = -du
         exp_ms = cond["exp_ms"][k]
         if abs(cond["s_raw"][k]) < LOG_SCALE_CLAMP:   # else the clamp passes no gradient
@@ -498,28 +462,19 @@ def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
         dmu[k] = (neg_du * exp_ms).sum()
         dz = du * exp_ms
 
-    g = model._g_stacked
-    n = 2 * model._n_layers
-    g_w_mu, g_b_mu, g_w_s, g_b_s = g[n:n + 4]
+    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = model._stacked
+    g_w, g_b, g_w_mu, g_b_mu, g_w_s, g_b_s, g_ea_raw, g_eb_raw = model._g_stacked
     g_b_mu[:, 0] += dmu
     g_b_s[:, 0] += ds
-    if model._n_layers:
-        acts = cond["acts"]
-        w_mu, w_s = model._stacked[n], model._stacked[n + 2]
-        g_w_mu[:, :, 0] += acts[-1] * dmu[:, None]
-        g_w_s[:, :, 0] += acts[-1] * ds[:, None]
-        dh = dmu[:, None] * w_mu[:, :, 0] + ds[:, None] * w_s[:, :, 0]
-        for i in range(model._n_layers - 1, -1, -1):
-            dpre = dh * (1.0 - acts[i] * acts[i])
-            g[2 * i + 1] += dpre
-            if i:   # the first layer's weights and input are masked out
-                g[2 * i] += acts[i - 1][:, :, None] * dpre[:, None, :]
-                dh = np.matmul(dpre[:, None], model._stacked[2 * i].transpose(0, 2, 1))[:, 0]
-    if model._enrich:
-        ta, b = cond["ta"], cond["b_arr"]
-        sig = _sigmoid(model._stacked[n + 5][:, 0])
-        g[n + 4][:, 0] += da * (1.0 - ta * ta) / b
-        g[n + 5][:, 0] += db * sig + da * (-ta / (b * b)) * sig
+    h = cond["h"]
+    g_w_mu[:, :, 0] += h * dmu[:, None]
+    g_w_s[:, :, 0] += h * ds[:, None]
+    dh = dmu[:, None] * w_mu[:, :, 0] + ds[:, None] * w_s[:, :, 0]
+    g_b += dh * (1.0 - h * h)     # the hidden weights and the input are masked out
+    ta, slope = cond["ta"], cond["b_arr"]
+    sig = _sigmoid(eb_raw[:, 0])
+    g_ea_raw[:, 0] += da * (1.0 - ta * ta) / slope
+    g_eb_raw[:, 0] += db * sig + da * (-ta / (slope * slope)) * sig
 
 
 ADAM_BETA1 = 0.9
@@ -599,15 +554,15 @@ _MAGIC = b"DSCFLOW1"
 
 
 def save_flow(model: FlowModel, path) -> None:
-    """Versioned flat binary layout: magic, architecture header, the
+    """Versioned flat binary layout: magic, architecture header (dim, block
+    count, hidden-layer count 1, enrichment flag, hidden width), the
     standardizer, then ``theta`` (every parameter in declaration order) as
     little-endian float64.  Loading reproduces log-densities bit-identically."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        hidden = model.blocks[0].made.hidden
-        fh.write(struct.pack("<IIIB", model.dim, len(model.blocks), len(hidden), model._enrich))
-        for width in hidden:
-            fh.write(struct.pack("<I", width))
+        blk = model.blocks[0]
+        fh.write(struct.pack("<IIIBI", model.dim, len(model.blocks), 1, blk.enrich,
+                             blk.made.hidden))
         fh.write(model.mu_std.astype("<f8").tobytes())
         fh.write(model.sigma_std.astype("<f8").tobytes())
         fh.write(model.theta.astype("<f8").tobytes())
@@ -625,11 +580,14 @@ def load_flow(path) -> FlowModel:
         dim, n_blocks, n_hidden, enrich = struct.unpack("<IIIB", read(13, "header"))
         if dim == 0:
             raise ValueError(f"{path}: zero-dimensional flow")
-        if enrich not in (0, 1):
-            raise ValueError(f"{path}: enrichment flag must be 0 or 1, got {enrich}")
-        hidden = struct.unpack(f"<{n_hidden}I", read(4 * n_hidden, "hidden widths"))
+        if n_hidden != 1:
+            raise ValueError(f"{path}: a flow block has one hidden layer, got {n_hidden}")
+        if enrich != FlowModel.enriched(dim):
+            raise ValueError(f"{path}: enrichment flag must be {FlowModel.enriched(dim):d} "
+                             f"for a {dim}-dimensional flow, got {enrich}")
+        hidden, = struct.unpack("<I", read(4, "hidden width"))
         try:
-            config = TrainConfig(n_blocks=n_blocks, hidden=hidden, enrichment=bool(enrich))
+            config = TrainConfig(n_blocks=n_blocks, hidden=hidden)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
         mu_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()

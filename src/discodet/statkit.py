@@ -62,12 +62,11 @@ class SeedStream:
         return SeedStream(int(gen.integers(0, 2**64, dtype=np.uint64)))
 
 
-def sample_cgauss(gen: np.random.Generator, mean: complex, variance: float,
-                  size) -> np.ndarray:
-    """Draw an array of circularly-symmetric complex Gaussian samples.
+def sample_cgauss(gen: np.random.Generator, variance: float, size) -> np.ndarray:
+    """Draw an array of zero-mean circularly-symmetric complex Gaussian samples.
 
     Real and imaginary parts are independent with variance ``variance/2``
-    each, so E|x - mean|^2 = variance.  Every real part is taken from the
+    each, so E|x|^2 = variance.  Every real part is taken from the
     stream first, then every imaginary part.
     """
     if variance < 0:
@@ -77,8 +76,6 @@ def sample_cgauss(gen: np.random.Generator, mean: complex, variance: float,
     out.real = gen.standard_normal(size)
     out.imag = gen.standard_normal(size)
     out *= scale
-    if mean:
-        out += mean
     return out
 
 

@@ -12,7 +12,6 @@ the emitted CSV is byte-identical across reruns.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,10 +40,9 @@ class SweepResult:
     sjnr_sim_db: float
     sjnr_theory_db: float
     seed: int
-    wall_seconds: float = 0.0
 
 
-_CSV_COLUMNS = [f.name for f in fields(SweepResult) if f.name != "wall_seconds"]
+_CSV_COLUMNS = [f.name for f in fields(SweepResult)]
 CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
@@ -140,7 +138,6 @@ def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
               sweep_value: float) -> SweepResult:
     """Fit and evaluate all detector variants with ``sweep_var`` set to
     ``sweep_value``; the other two quantities keep their configured values."""
-    t0 = time.perf_counter()
     setting = {"p0_dbm": cfg["sweep.fixed_p0_dbm"],
                "n_elements": cfg["dris.elements_h"] * cfg["dris.elements_v"],
                "n_samples": cfg["detector.n_samples"]}
@@ -173,7 +170,6 @@ def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
         sjnr_sim_db=sjnr_sim,
         sjnr_theory_db=sjnr_th,
         seed=root.root_seed,
-        wall_seconds=time.perf_counter() - t0,
     )
 
 
@@ -288,7 +284,7 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     # flow machinery: autoregressive masks, gradients, inversion, normalization
     probe_gen = root.child("validate/flow-probe")
     tcfg = flow.TrainConfig(seed=root.derive("validate/flow-seed").root_seed,
-                            n_blocks=3, hidden=(16,), epochs=1)
+                            n_blocks=3, hidden=16, epochs=1)
     model = flow.build_flow(4, tcfg)
     model.theta += 0.1 * probe_gen.standard_normal(model.theta.size)
     checks.append(ValidationCheck("flow_autoregressive",
@@ -311,7 +307,7 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     checks.append(ValidationCheck("flow_roundtrip", round_trip < 1e-9,
                                   f"max inverse(forward(y)) error {round_trip:.2e}"))
 
-    model1 = flow.build_flow(1, flow.TrainConfig(seed=7, n_blocks=3, hidden=(16,)))
+    model1 = flow.build_flow(1, flow.TrainConfig(seed=7, n_blocks=3, hidden=16))
     model1.theta += 0.2 * probe_gen.standard_normal(model1.theta.size)
     grid = np.linspace(-10, 10, 4001)
     dens = np.exp(model1.log_prob(grid[:, None]))

@@ -39,10 +39,6 @@ class GammaNull:
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
 
 def _log_gamma_int(n: int) -> float:
     # N is small (5 in the default configuration); exact factorial below 21.
@@ -80,7 +76,7 @@ def gamma_h0_logpdf(null: GammaNull, y: np.ndarray) -> np.ndarray:
     """Log-density of the null Gamma distribution at each y >= 0 of a 1-D array.
 
     y = 0 is handled as the density limit: -inf for shape > 1 and
-    -log(scale) for shape = 1.
+    -log(scale) for shape = 1; y = +inf gives the limit -inf.
     """
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0):
@@ -88,7 +84,7 @@ def gamma_h0_logpdf(null: GammaNull, y: np.ndarray) -> np.ndarray:
     n, s = null.shape, null.scale
     norm = _log_gamma_int(n) + n * math.log(s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (n - 1) * np.log(arr) - arr / s - norm
+        out = np.where(arr == np.inf, -np.inf, (n - 1) * np.log(arr) - arr / s - norm)
     return np.where(arr == 0.0, -math.log(s) if n == 1 else -np.inf, out)
 
 
@@ -107,11 +103,14 @@ def _erlang_sf(n: int, x):
 
 
 def gamma_sf(null: GammaNull, y: np.ndarray) -> np.ndarray:
-    """Upper tail P(Y > y) of the Gamma(shape, scale) law at each y >= 0."""
+    """Upper tail P(Y > y) of the Gamma(shape, scale) law at each y >= 0;
+    0 where y / scale is +inf."""
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0):
         raise ValueError("gamma_sf requires y >= 0")
-    return _erlang_sf(null.shape, arr / null.scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = arr / null.scale
+        return np.where(x == np.inf, 0.0, _erlang_sf(null.shape, x))
 
 
 def gamma_cdf(null: GammaNull, y: np.ndarray) -> np.ndarray:

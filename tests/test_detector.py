@@ -33,7 +33,7 @@ def surrogate_mix(stream, n):
 
 
 # negative power, and the NaN a broken channel setting would produce
-BAD_STATISTICS = [np.array([1.0, -2.0]), np.array([1.0, np.nan])]
+BAD_STATISTICS = [np.array([1.0, -2.0]), np.array([1.0, np.nan]), np.array([1.0, np.inf])]
 
 
 class TestObservationBatch:
@@ -72,7 +72,7 @@ class TestPrefilter:
         with pytest.raises(ValueError):
             prefilter(np.arange(1.0, 5.0), null, 1.0)
 
-    @pytest.mark.parametrize("bad", BAD_STATISTICS, ids=["negative", "nan"])
+    @pytest.mark.parametrize("bad", BAD_STATISTICS, ids=["negative", "nan", "inf"])
     def test_bad_statistics_rejected(self, bad):
         with pytest.raises(ValueError, match="non-negative"):
             prefilter(bad, GammaNull(1, 1.0), 0.5)
@@ -132,6 +132,10 @@ class TestThresholdAndClassify:
         det = FittedDetector(build_flow(1, TrainConfig(seed=0)), null, 0.0)
         with pytest.raises(ValueError):
             llr(det, np.array([-1.0]))
+        # a NaN or an infinite statistic has a NaN ratio, which classify reads as H0
+        for bad in BAD_STATISTICS:
+            with pytest.raises(ValueError, match="non-negative"):
+                classify(det, bad)
 
 
 class TestFitting:
@@ -141,7 +145,7 @@ class TestFitting:
     def _tcfg(self, seed=31):
         return TrainConfig(seed=seed, epochs=8, batch_size=256)
 
-    @pytest.mark.parametrize("bad", BAD_STATISTICS, ids=["negative", "nan"])
+    @pytest.mark.parametrize("bad", BAD_STATISTICS, ids=["negative", "nan", "inf"])
     def test_supervised_rejects_bad_statistics(self, bad):
         with pytest.raises(ValueError, match="non-negative"):
             fit_supervised(bad, GammaNull(5, NOISE), self._dcfg(), self._tcfg(),

@@ -15,7 +15,7 @@ from discodet.sweeps import autoregressive_check
 
 def perturbed_model(dim, seed=11, scale=0.1, **kwargs):
     cfg = TrainConfig(seed=seed, n_blocks=kwargs.pop("n_blocks", 3),
-                      hidden=kwargs.pop("hidden", (8,)), **kwargs)
+                      hidden=kwargs.pop("hidden", 8), **kwargs)
     model = build_flow(dim, cfg)
     gen = np.random.default_rng(seed)
     for p in model.parameters():
@@ -82,7 +82,7 @@ class TestAutoregressive:
         assert not autoregressive_check(model, np.random.default_rng(2))
 
     def test_dim1_conditioner_is_constant(self):
-        model = perturbed_model(1, enrichment=True)
+        model = perturbed_model(1)
         made = model.blocks[0].made
         mu_a, s_a = made.forward(np.array([[0.3]]))
         mu_b, s_b = made.forward(np.array([[-5.0]]))
@@ -96,7 +96,7 @@ class TestConstantConditioner:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rows_evaluated(self, dim, monkeypatch):
-        model = perturbed_model(dim, enrichment=True)
+        model = perturbed_model(dim)
         rows = []
         forward = flow.MadeNetwork.forward
 
@@ -129,11 +129,9 @@ class TestScalarPath:
     every row's conditioner and so agrees to rounding only."""
 
     @pytest.mark.parametrize("n_blocks", [1, 2, 5])
-    @pytest.mark.parametrize("enrichment", [True, False])
-    @pytest.mark.parametrize("hidden", [(64,), (8, 6), ()], ids=["64", "8-6", "none"])
-    def test_matches_block_loop(self, monkeypatch, hidden, enrichment, n_blocks):
-        model = perturbed_model(1, hidden=hidden, enrichment=enrichment, n_blocks=n_blocks,
-                                scale=0.3)
+    @pytest.mark.parametrize("hidden", [64, 8])
+    def test_matches_block_loop(self, monkeypatch, hidden, n_blocks):
+        model = perturbed_model(1, hidden=hidden, n_blocks=n_blocks, scale=0.3)
         if n_blocks > 1:
             model.blocks[1].made.b_s[:] = 30.0    # block 1's log-scale clamps
         for n in (1, 17, 256):
@@ -147,25 +145,21 @@ class TestScalarPath:
 
 class TestGradients:
     def test_multidim_no_enrichment(self):
-        model = perturbed_model(3, enrichment=False)
+        model = perturbed_model(3)
         batch = np.random.default_rng(3).standard_normal((6, 3))
         finite_diff_check(model, batch)
 
     def test_dim1_with_enrichment(self):
-        model = perturbed_model(1, enrichment=True, scale=0.3)
+        model = perturbed_model(1, scale=0.3)
         batch = np.random.default_rng(4).standard_normal((8, 1))
-        finite_diff_check(model, batch)
-
-    def test_multidim_with_enrichment(self):
-        model = perturbed_model(2, enrichment=True, n_blocks=2)
-        batch = np.random.default_rng(5).standard_normal((5, 2))
         finite_diff_check(model, batch)
 
 
 class TestInversion:
-    @pytest.mark.parametrize("dim,enrich", [(1, True), (1, False), (4, False), (3, True)])
-    def test_roundtrip(self, dim, enrich):
-        model = perturbed_model(dim, enrichment=enrich, scale=0.3)
+    @pytest.mark.parametrize("dim,enriched", [(1, True), (4, False)])
+    def test_roundtrip(self, dim, enriched):
+        model = perturbed_model(dim, scale=0.3)
+        assert all(blk.enrich == enriched for blk in model.blocks)
         model.mu_std[:] = 1.5
         model.sigma_std[:] = 2.0
         y = np.random.default_rng(6).standard_normal((64, dim)) * 2 + 1
@@ -174,7 +168,7 @@ class TestInversion:
 
     def test_logdet_consistency(self):
         # numerical Jacobian of the 1-D transform must match the reported logdet
-        model = perturbed_model(1, enrichment=True, scale=0.3)
+        model = perturbed_model(1, scale=0.3)
         y = np.array([[0.7]])
         _, logdet = model.forward(y)
         h = 1e-6
@@ -216,14 +210,14 @@ class TestTraining:
     # unchecked, a negative batch size leaves the batch loop empty and train
     # returns the untrained init without an error, and so does a NaN
     # learning rate (its hold-out NLL never beats the first); n_blocks = -1
-    # fails inside numpy, and hidden = (0,) builds a zero-width network
+    # fails inside numpy, and hidden = 0 builds a zero-width network
     @pytest.mark.parametrize("kwargs,match", [
         ({"batch_size": 0}, "batch size"), ({"batch_size": -5}, "batch size"),
         ({"n_blocks": 0}, "block"), ({"n_blocks": -1}, "block"),
-        ({"hidden": (0,)}, "hidden"), ({"hidden": (8, 0)}, "hidden"),
+        ({"hidden": 0}, "hidden"),
         ({"learning_rate": math.nan}, "learning rate"),
     ], ids=["batch_size=0", "batch_size=-5", "n_blocks=0", "n_blocks=-1",
-            "hidden=0", "hidden=8,0", "learning_rate=nan"])
+            "hidden=0", "learning_rate=nan"])
     def test_sizes_must_be_positive(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kwargs)
@@ -231,7 +225,7 @@ class TestTraining:
 
 class TestSerialization:
     def test_bit_identical_roundtrip(self, tmp_path):
-        model = perturbed_model(1, enrichment=True)
+        model = perturbed_model(1)
         model.mu_std[:] = 4.2
         model.sigma_std[:] = 0.7
         path = tmp_path / "model.flow"
@@ -241,7 +235,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.log_prob(y), model.log_prob(y))
 
     def test_multidim_roundtrip(self, tmp_path):
-        model = perturbed_model(4, hidden=(8, 6), enrichment=False)
+        model = perturbed_model(4, hidden=6)
         path = tmp_path / "model.flow"
         save_flow(model, path)
         loaded = load_flow(path)
@@ -290,16 +284,22 @@ class TestSerialization:
         assert peak < 5e6
 
     # complete files (as many values as the header asks for) whose header
-    # asks for no dimension, no block, a zero-width layer or an enrichment
-    # flag other than 0 and 1
+    # asks for no dimension, no block, a zero-width layer, two hidden
+    # layers, or an enrichment flag other than the one of a flow of that
+    # dimension
     @pytest.mark.parametrize("dim,n_blocks,hidden,enrich,match", [
         (0, 1, (), 1, "zero-dimensional"),
         (1, 0, (8,), 1, "a flow needs at least one block"),
-        (1, 2, (8, 0), 1, "hidden widths"),
-        (1, 2, (8,), 7, "enrichment flag must be 0 or 1"),
-    ], ids=["zero-dim", "no-blocks", "zero-width", "enrichment-flag"])
+        (1, 2, (0,), 1, "the hidden width"),
+        (1, 2, (8,), 7, "enrichment flag must be 1 for a 1-dimensional flow, got 7"),
+        (1, 2, (8, 8), 1, "a flow block has one hidden layer, got 2"),
+        (2, 2, (8,), 1, "enrichment flag must be 0 for a 2-dimensional flow, got 1"),
+    ], ids=["zero-dim", "no-blocks", "zero-width", "enrichment-flag", "two-layers",
+            "dim2-flag1"])
     def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, hidden, enrich, match):
-        n_theta = n_blocks * sum(math.prod(s) for s in flow.FlowBlock.param_shapes(dim, hidden, True))
+        widths = (dim, *hidden)
+        n_layers = sum(w_in * w_out + w_out for w_in, w_out in zip(widths, widths[1:]))
+        n_theta = n_blocks * (n_layers + 2 * (widths[-1] * dim + dim) + 2 * dim * bool(enrich))
         path = tmp_path / "model.flow"
         path.write_bytes(b"DSCFLOW1"
                          + struct.pack(f"<IIIB{len(hidden)}I", dim, n_blocks, len(hidden), enrich,
@@ -308,19 +308,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + match):
             load_flow(path)
 
-    @pytest.mark.parametrize("dim,hidden", [(1, (8,)), (3, (8, 6))])
-    def test_body_is_theta(self, tmp_path, dim, hidden):
-        model = perturbed_model(dim, hidden=hidden)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_body_is_theta(self, tmp_path, dim):
+        model = perturbed_model(dim)
         path = tmp_path / "model.flow"
         save_flow(model, path)
-        header = len(b"DSCFLOW1") + 13 + 4 * len(hidden) + 2 * 8 * dim
+        header = len(b"DSCFLOW1") + 13 + 4 + 2 * 8 * dim
         assert path.read_bytes()[header:] == model.theta.astype("<f8").tobytes()
 
 
 class TestFlatParameters:
     @pytest.fixture(params=["built", "loaded"])
     def model(self, request, tmp_path):
-        model = perturbed_model(2, enrichment=True)
+        model = perturbed_model(2)
         if request.param == "loaded":
             save_flow(model, tmp_path / "model.flow")
             model = load_flow(tmp_path / "model.flow")
@@ -357,7 +357,7 @@ def reference_adam(params, grads, m, v, t, lr):
 
 class TestAdam:
     def test_matches_per_array_reference(self):
-        model = perturbed_model(1, enrichment=True)
+        model = perturbed_model(1)
         config = TrainConfig(learning_rate=1e-3)
         ref = [p.copy() for p in model.parameters()]
         m = [np.zeros_like(p) for p in ref]
@@ -383,7 +383,7 @@ class TestAdam:
 
 class TestNumerics:
     def test_log_scale_clamp_keeps_finite(self):
-        model = perturbed_model(1, enrichment=True)
+        model = perturbed_model(1)
         model.blocks[0].made.b_s[:] = 50.0     # would overflow without clamping
         out = model.log_prob(np.array([[1e3], [-1e3], [0.0]]))
         assert np.all(np.isfinite(out))

@@ -1,5 +1,7 @@
 import ast
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discodet import flow, sweeps
+from discodet import cli, flow, sweeps
 from discodet.config import parse_config_text
 from discodet.statkit import SeedStream
 from discodet.sweeps import CSV_HEADER, SweepResult, emit_csv, run_sweep
@@ -135,7 +137,7 @@ class TestValidationSuite:
                 "surrogate_np_oracle"} <= names
 
     def test_gradient_check_rejects_a_wrong_gradient(self, monkeypatch):
-        model = flow.build_flow(2, flow.TrainConfig(seed=3, n_blocks=2, hidden=(8,)))
+        model = flow.build_flow(2, flow.TrainConfig(seed=3, n_blocks=2, hidden=8))
         batch = SeedStream(4).child("grad").standard_normal((6, 2))
         assert sweeps._gradient_check(model, batch)[0]
         grad_nll = flow.grad_nll
@@ -268,6 +270,18 @@ class TestCli:
         bytes_a = (tmp_path / "a.csv").read_bytes()
         assert bytes_a == (tmp_path / "b.csv").read_bytes()
         assert bytes_a.startswith(b"#")
+        assert re.fullmatch(r"wrote 2 rows to a\.csv \(\d+\.\ds\)\n", a.stdout)
+
+    def test_train_writes_default_architecture(self, tmp_path):
+        # the flow the default config builds: dim 1, five blocks, one hidden
+        # layer of width 64, enrichment on
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CONFIG)
+        model = tmp_path / "model.flow"
+        with pytest.warns(UserWarning):     # tiny n_threshold triggers the warning
+            assert cli.main(["train", "--config", str(cfgfile), "--out", str(model)]) == 0
+        header = b"DSCFLOW1" + struct.pack("<IIIBI", 1, 5, 1, 1, 64)
+        assert model.read_bytes()[:len(header)] == header
 
     def test_train_then_eval(self, tmp_path):
         cfgfile = tmp_path / "tiny.cfg"
