@@ -5,7 +5,10 @@ channels and the two cascaded-hop vectors are redrawn once per coherence
 interval, while the surface's reflection coefficients and the transmit
 symbols are redrawn every symbol.  That per-symbol redraw is what makes
 the surface "disco": it deliberately ages the channel inside a single
-coherence interval.
+coherence interval.  The warden's statistic accumulates the N samples of
+one interval, so its generator keeps that structure.  The receiver's SJNR
+is a ratio of per-symbol means, so its generator draws each symbol's
+cascade as an interval of its own (see :func:`gen_bob_signals`).
 """
 
 from __future__ import annotations
@@ -281,7 +284,11 @@ def _element_cascade(gen: np.random.Generator, geometry: Geometry, kappa: float,
     """sum_k g_k h_I,k c_k(m) from every element's own draws.
 
     Per interval it draws g (Rician) and h_I; per symbol it draws every
-    element's phase index.
+    element's phase index.  :func:`_cascade` runs it when the pattern
+    kernel does not pay: for many symbols per interval (the warden's
+    statistic at N = 20 on 2048 elements) and on surfaces with fewer than
+    K^N * _PATTERN_MARGIN elements, such as the receiver's one-symbol
+    draws when N_D < 2K.
     """
     a = sample_rician_g(gen, geometry, kappa, size=n_intervals)
     a *= sample_cgauss(gen, 1.0, size=a.shape)
@@ -414,8 +421,15 @@ def gen_bob_signals(gen: np.random.Generator, scenario: Scenario, n_symbols: int
     """Per-symbol covert-signal and jamming powers at the receiver.
 
     Returns ``(signal_powers, jamming_powers, noise_power)`` with
-    |h_d s|^2 and |h_D(m) s|^2 per transmitted symbol; symbols are grouped
-    into coherence intervals of ``scenario.m_symbols``.
+    |h_d s|^2 and |h_D(m) s|^2 per transmitted symbol.  Symbols are grouped
+    into coherence intervals of ``scenario.m_symbols``: the receiver's
+    position, the direct channel h_d and the drawing order of the transmit
+    symbols are per interval.  Each symbol's cascade h_D(m) is its own
+    one-symbol draw (see :func:`_cascade`), from a surface realization of
+    its own: every symbol's law is exact, and so is the ergodic SJNR
+    mean(signal) / (mean(jamming) + noise), but the cascades of one
+    interval are independent instead of sharing g and h_I.  No output
+    reads that correlation.
     """
     if n_symbols < 1:
         raise ValueError("need at least one symbol")
@@ -433,10 +447,14 @@ def gen_bob_signals(gen: np.random.Generator, scenario: Scenario, n_symbols: int
         loss_d_b = path_loss_linear(fad.alice_bob, d_ab)
         loss_i_b = path_loss_linear(fad.dris_bob, d_db)
         h_d = sample_cgauss(gen, 1.0, size=k) / np.sqrt(loss_d_b)
-        h_jam = _cascade(gen, geo, fad, scenario.profile, loss_i_b, k, m)
+        # one-symbol cascades take the pattern kernel on all but tiny surfaces
+        h_jam = _cascade(gen, geo, fad, scenario.profile, np.repeat(loss_i_b, m),
+                         k * m, 1).reshape(k, m)
         s = sample_cgauss(gen, scenario.p0_watts, size=(k, m))
         return np.stack([np.abs(h_d[:, None] * s) ** 2, np.abs(h_jam * s) ** 2],
                         axis=-1).reshape(-1, 2)
 
-    sig, jam = _chunked(n_intervals, m * max(geo.n_elements, 1), draw)[:n_symbols].T
+    # an interval's m one-symbol draws hold at most min(K, N_D) patterns each
+    per_interval = m * min(len(scenario.profile.phases), max(geo.n_elements, 1))
+    sig, jam = _chunked(n_intervals, per_interval, draw)[:n_symbols].T
     return sig, jam, fad.noise_b

@@ -245,11 +245,18 @@ def test_criterion_07_unsup_vs_sup():
            ok, "; ".join(details))
 
 
-def test_unsaturated_surface_points(sweep_cfg):
+@pytest.fixture(scope="module")
+def unsaturated_points(sweep_cfg):
+    """The reduced config's points at -33, -30 and -27 dBm, where the surface
+    MDRs lie inside (0, 1); run once for the tests that read them."""
+    root = SeedStream(sweep_cfg["seeds.root"])
+    return [sweeps.run_point(sweep_cfg, root, "p0_dbm", p0) for p0 in (-33.0, -30.0, -27.0)]
+
+
+def test_unsaturated_surface_points(unsaturated_points):
     """Low powers where the surface MDRs lie inside (0, 1), so the unsup/sup
     gap and the P0 trend compare quantities that can differ."""
-    root = SeedStream(sweep_cfg["seeds.root"])
-    rs = [sweeps.run_point(sweep_cfg, root, "p0_dbm", p0) for p0 in (-33.0, -30.0, -27.0)]
+    rs = unsaturated_points
     inside = all(0 < getattr(r, f"mdr_{v}_lo") and getattr(r, f"mdr_{v}_hi") < 1
                  for r in rs for v in ("unsup", "sup"))
     gap = all(abs(r.mdr_unsup - r.mdr_sup) <= 0.05 for r in rs)
@@ -259,6 +266,36 @@ def test_unsaturated_surface_points(sweep_cfg):
            inside and gap and trend,
            "; ".join(f"{r.sweep_value:g} dBm: unsup {r.mdr_unsup:.4f}, sup {r.mdr_sup:.4f}"
                      for r in rs))
+
+
+def test_radiometer_np_oracle(sweep_cfg, unsaturated_points):
+    """Given the channel, the warden's samples are independent CN(0, mu_n)
+    with mu_n >= noise, so the likelihood ratio of Y is non-decreasing and
+    the radiometer Y > Gamma^-1(1 - alpha; N, noise) is the most powerful
+    level-alpha test.  On each point's own evaluation H1 batch, no flow's MDR
+    may sit significantly below the radiometer's, nor more than 0.02 above."""
+    cfg = sweep_cfg
+    root = SeedStream(cfg["seeds.root"])
+    n_samples, alpha = cfg["detector.n_samples"], cfg["detector.alpha"]
+    null = theory.GammaNull(n_samples, cfg.noise_power())
+    # calibration error can leave a flow's realized FAR up to alpha_hi, and
+    # its MDR down to the radiometer's at alpha_hi (z = 4.5, as perfbench)
+    z = 4.5
+    alpha_hi = alpha + z * math.sqrt(alpha * (1 - alpha) / cfg["detector.n_threshold"])
+    details, ok = [], True
+    for r in unsaturated_points:
+        seeds = root.derive(f"point/p0_dbm/{r.sweep_value!r}")
+        h1 = sweeps._eval_batch(cfg, seeds, cfg.scenario(r.sweep_value), n_samples).h1
+        opt = float(np.mean(h1 <= theory.radiometer_threshold(null, alpha)))
+        opt_lo = float(np.mean(h1 <= theory.radiometer_threshold(null, alpha_hi)))
+        for v in ("unsup", "sup"):
+            mdr = getattr(r, f"mdr_{v}")
+            hi = binomial_ci(round(mdr * h1.size), h1.size, math.erf(z / math.sqrt(2)))[1]
+            ok &= hi >= opt_lo and mdr <= opt + 0.02
+        details.append(f"{r.sweep_value:g} dBm: radiometer {opt:.4f}, "
+                       f"unsup {r.mdr_unsup:.4f}, sup {r.mdr_sup:.4f}")
+    report("6/7 (radiometer)", "flow MDRs not significantly below the radiometer's "
+           "and at most 0.02 above it at -33, -30 and -27 dBm", ok, "; ".join(details))
 
 
 def test_criterion_08_sjnr_anchors():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from discodet.channel import (DrisProfile, Geometry, LinkFading,
                               gen_willie_statistics, los_steering,
                               path_loss_linear, sample_bob_position,
                               sample_rician_g)
-from discodet.config import DEFAULT_CONFIG
+from discodet.config import DEFAULT_CONFIG, parse_config_text
 from discodet.statkit import SeedStream
 from discodet.theory import alpha_bar, prop_variance
 
@@ -330,7 +331,88 @@ class TestWillieStatistics:
             gen_willie_statistics(gen, scen, "H1", 10, 0)
 
 
+# Receiver positions from 1 to 130 m around the annulus center: the
+# surface-to-receiver loss then spans ~30 dB, so the one loss an interval's
+# symbols share dominates the interval's mean jamming power.
+WIDE_ANNULUS_CONFIG = parse_config_text("geometry.bob_inner = 1\n"
+                                        "geometry.bob_outer = 130\n")
+
+
+def element_kernel_jamming(seed, scen, n_intervals):
+    """Reference jamming powers |h_D s|^2, shape (n_intervals, M): every
+    symbol's cascade is a one-symbol draw of ``_element_cascade`` called
+    directly, scaled by the loss at the interval's receiver position."""
+    geo, fad = scen.geometry, scen.fading
+    m = scen.m_symbols
+    gen = SeedStream(seed).child("bob-reference")
+    if scen.bob_position is None:
+        pos = sample_bob_position(gen, geo, size=n_intervals)
+    else:
+        pos = np.broadcast_to(np.asarray(scen.bob_position, float), (n_intervals, 3))
+    loss_g = path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
+    loss_i = path_loss_linear(fad.dris_bob,
+                              np.linalg.norm(pos - np.asarray(geo.dris_center), axis=1))
+    h = channel._chunked(n_intervals * m, geo.n_elements,
+                         lambda k: channel._element_cascade(gen, geo, fad.rician_g,
+                                                            scen.profile, k, 1)[:, 0])
+    h = h.reshape(n_intervals, m) / np.sqrt(loss_g * loss_i)[:, None]
+    s = channel.sample_cgauss(gen, scen.p0_watts, size=h.shape)
+    return np.abs(h * s) ** 2
+
+
 class TestBobSignals:
+    @pytest.mark.parametrize("prof", [DEFAULT_PROFILE, FOUR_PHASE_PROFILE],
+                             ids=["default", "four-phase"])
+    @pytest.mark.parametrize("mode", ["center", "annulus"])
+    def test_jamming_law_matches_element_kernel(self, mode, prof):
+        """Each symbol's jamming power has the law of the per-element
+        kernel's one-symbol cascade, and an interval's symbols share one
+        receiver position (one path loss in annulus mode)."""
+        cfg = WIDE_ANNULUS_CONFIG
+        bob = tuple(cfg["geometry.bob_center"]) if mode == "center" else None
+        scen = dataclasses.replace(cfg.scenario(5.0, n_elements=256, bob_position=bob),
+                                   profile=prof)
+        m, n = scen.m_symbols, 1500
+        _, jam, _ = gen_bob_signals(SeedStream(21).child("bob-law"), scen, n * m)
+        jam = jam.reshape(n, m)
+        ref = element_kernel_jamming(22, scen, n)
+        # one symbol per interval: in annulus mode an interval's symbols are
+        # dependent through their shared loss
+        assert stats.ks_2samp(jam[:, 0], ref[:, 0]).pvalue > 1e-3
+        assert stats.ks_2samp(jam[:, -1], ref[:, -1]).pvalue > 1e-3
+        assert stats.ks_2samp(jam.mean(axis=1), ref.mean(axis=1)).pvalue > 1e-3
+        # E[jam] = p0 N_D abar / (L_g L_I), averaged over the receiver's
+        # position in annulus mode (by 10^6 reference positions)
+        geo, fad = scen.geometry, scen.fading
+        pos = (np.asarray([bob]) if bob is not None else
+               sample_bob_position(SeedStream(23).child("bob-positions"), geo, 1_000_000))
+        loss_g = path_loss_linear(fad.alice_dris, geo.distance(geo.alice, geo.dris_center))
+        loss_i = path_loss_linear(fad.dris_bob,
+                                  np.linalg.norm(pos - np.asarray(geo.dris_center), axis=1))
+        expected = scen.p0_watts * prop_variance(256, alpha_bar(prof), loss_g, 1.0) \
+            * np.mean(1.0 / loss_i)
+        per_interval = jam.mean(axis=1)     # intervals are independent
+        assert abs(per_interval.mean() - expected) < 4.5 * per_interval.std() / math.sqrt(n)
+
+    def test_symbol_count_not_a_multiple_of_interval(self):
+        scen = DEFAULT_CONFIG.scenario(5.0, n_elements=256)
+        n_symbols = 7 * scen.m_symbols + 3
+        sig, jam, _ = gen_bob_signals(SeedStream(7).child("bob-odd"), scen, n_symbols)
+        assert sig.shape == jam.shape == (n_symbols,)
+        assert np.all(np.isfinite(sig)) and np.all(np.isfinite(jam))
+
+    @pytest.mark.parametrize("n_elements", [1, 2, 3])
+    def test_tiny_surface_takes_element_kernel(self, n_elements, monkeypatch):
+        """0 < N_D < 2K: the one-symbol cascades run the per-element kernel."""
+        def no_patterns(*args):
+            raise AssertionError("pattern kernel ran on a surface below 2K elements")
+
+        monkeypatch.setattr(channel, "_pattern_cascade", no_patterns)
+        scen = DEFAULT_CONFIG.scenario(5.0, n_elements=n_elements)
+        _, jam, _ = gen_bob_signals(SeedStream(7).child("bob-tiny"), scen, 2000)
+        assert jam.shape == (2000,)
+        assert np.all(np.isfinite(jam)) and np.all(jam >= 0) and np.any(jam > 0)
+
     def test_fixed_position_means(self):
         cfg = DEFAULT_CONFIG
         scen = cfg.scenario(5.0, n_elements=256,
