@@ -93,7 +93,9 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     seeds = SeedStream(cfg["seeds.root"]).derive("cli-train")
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
-    det = sweeps._fit_variant(cfg, seeds, scen, cfg.detector_config(), "unsup")
+    fit = sweeps._draw_fit(cfg, seeds, scen, cfg.detector_config(), "unsup")
+    model, = detector.fit_flows([fit.statistics], [fit.train_config])
+    det = fit.calibrated(model)
     flow.save_flow(det.flow, args.out)
     print(f"saved model to {args.out} "
           f"(threshold {det.threshold:.6g}, trained on {det.n_train} samples)")
@@ -107,10 +109,9 @@ def _cmd_eval(args) -> int:
     dcfg = cfg.detector_config()
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
     null = theory.GammaNull(dcfg.n_samples, scen.fading.noise_w)
-    eta = detector.calibrate_threshold(model, null, dcfg.alpha, dcfg.n_threshold,
-                                       seeds.child("calibrate"))
-    det = detector.FittedDetector(model, null, eta)
+    det = detector.calibrate(model, null, dcfg, seeds.child("calibrate"))
     rep = detector.evaluate(det, sweeps._eval_batch(cfg, seeds, scen, dcfg.n_samples))
+    eta = det.threshold
     print(f"threshold = {eta:.6g}")
     print(f"FAR = {rep.far:.4f} (target {dcfg.alpha}, "
           f"95% CI [{rep.far_ci[0]:.4f}, {rep.far_ci[1]:.4f}])")

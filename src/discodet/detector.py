@@ -25,6 +25,8 @@ __all__ = [
     "FittedDetector",
     "DetectionReport",
     "prefilter",
+    "calibrate",
+    "fit_flows",
     "fit_unsupervised",
     "fit_supervised",
     "llr",
@@ -144,6 +146,22 @@ def calibrate_threshold(model: flowmod.FlowModel, null: GammaNull, alpha: float,
     return empirical_quantile(values, 1.0 - alpha)
 
 
+def calibrate(model: flowmod.FlowModel, null: GammaNull, config: DetectorConfig,
+              gen: np.random.Generator, n_train: int | None = None) -> FittedDetector:
+    """The detector of a fitted flow: its null and its Monte-Carlo threshold
+    at ``config.alpha``, drawn from ``gen``."""
+    eta = calibrate_threshold(model, null, config.alpha, config.n_threshold, gen)
+    return FittedDetector(model, null, eta, n_train=n_train)
+
+
+def fit_flows(statistics: list[np.ndarray],
+              train_configs: list[flowmod.TrainConfig]) -> list[flowmod.FlowModel]:
+    """Fit one flow per array of statistics taken to be transmit-hypothesis
+    draws, all in one lockstep ``flow.train_many`` run; each flow keeps its
+    own seed and streams, so it does not depend on the others."""
+    return flowmod.train_many([_statistics(s) for s in statistics], train_configs)
+
+
 def fit_unsupervised(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
                      train_config: flowmod.TrainConfig,
                      gen: np.random.Generator) -> FittedDetector:
@@ -155,11 +173,11 @@ def fit_unsupervised(statistics: np.ndarray, null: GammaNull, config: DetectorCo
 def fit_supervised(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
                    train_config: flowmod.TrainConfig,
                    gen: np.random.Generator) -> FittedDetector:
-    """Fit the flow on statistics taken to be transmit-hypothesis draws and
-    calibrate the threshold; ``gen`` drives only the threshold Monte Carlo."""
-    model = flowmod.train(_statistics(statistics), train_config)
-    eta = calibrate_threshold(model, null, config.alpha, config.n_threshold, gen)
-    return FittedDetector(model, null, eta, n_train=len(statistics))
+    """Fit the flow on statistics taken to be transmit-hypothesis draws (the
+    one-element case of :func:`fit_flows`) and calibrate the threshold;
+    ``gen`` drives only the threshold Monte Carlo."""
+    model, = fit_flows([statistics], [train_config])
+    return calibrate(model, null, config, gen, n_train=len(statistics))
 
 
 def llr(detector: FittedDetector, y: np.ndarray) -> np.ndarray:

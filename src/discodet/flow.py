@@ -16,8 +16,10 @@ learnable monotone element-wise map g(u) = u + a*tanh(b*u), parameterized
 so a*b is in (-1, 1) which keeps g' > 0.  With a = 0 the block reduces to
 the plain affine transform.  Such a conditioner is the same for every
 row, so a 1-D flow computes all blocks' conditioners once per call,
-stacked over a leading block axis, and runs the per-row chain on their
-scalars (``_forward_1d``).
+stacked over leading (model, block) axes, and runs the per-row chain on
+their scalars (``_forward_1d``).  ``train_many`` uses the model axis to
+train many 1-D flows in lockstep, one Adam step each per round, with
+results bit-identical to training each alone.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "grad_nll",
     "adam_step",
     "train",
+    "train_many",
     "save_flow",
     "load_flow",
 ]
@@ -268,17 +271,22 @@ class FlowModel:
     normal base; supports exact log-density, inversion, and gradients."""
 
     def __init__(self, dim: int, n_blocks: int, hidden: int, init_gen: np.random.Generator,
-                 mu_std: np.ndarray, sigma_std: np.ndarray):
+                 mu_std: np.ndarray, sigma_std: np.ndarray, storage=None):
+        """``storage`` is a (theta, grad) pair of zeroed vectors of
+        ``n_params`` values for the model to live in; by default it gets
+        its own."""
         self.dim = dim
         enrich = self.enriched(dim)
         shapes = FlowBlock.param_shapes(dim, hidden, enrich)
-        self.theta = np.zeros(n_blocks * sum(math.prod(s) for s in shapes))
-        self.grad = np.zeros_like(self.theta)
+        if storage is None:
+            storage = np.zeros((2, self.n_params(dim, n_blocks, hidden)))
+        self.theta, self.grad = storage
         self._params = _views(self.theta, shapes * n_blocks)
         self._grads = _views(self.grad, shapes * n_blocks)
-        # the same storage, one view per parameter with a leading block axis
-        self._stacked = _views(self.theta.reshape(n_blocks, -1), shapes)
-        self._g_stacked = _views(self.grad.reshape(n_blocks, -1), shapes)
+        # the same storage, one view per parameter with leading (model,
+        # block) axes: the stacked 1-D path's layout for a single model
+        self._stacked = _views(self.theta.reshape(1, n_blocks, -1), shapes)
+        self._g_stacked = _views(self.grad.reshape(1, n_blocks, -1), shapes)
         k = len(shapes)
         self.blocks = [
             FlowBlock(dim, hidden, reverse=(i % 2 == 1), enrich=enrich, init_gen=init_gen,
@@ -288,6 +296,12 @@ class FlowModel:
         ]
         self.mu_std = np.asarray(mu_std, dtype=float).reshape(dim)
         self.sigma_std = np.asarray(sigma_std, dtype=float).reshape(dim)
+
+    @staticmethod
+    def n_params(dim: int, n_blocks: int, hidden: int) -> int:
+        """The length of ``theta`` for this architecture."""
+        shapes = FlowBlock.param_shapes(dim, hidden, FlowModel.enriched(dim))
+        return n_blocks * sum(math.prod(s) for s in shapes)
 
     @staticmethod
     def enriched(dim: int) -> bool:
@@ -329,15 +343,17 @@ class FlowModel:
         return x * self.sigma_std + self.mu_std
 
 
-def build_flow(dim: int, config: TrainConfig, mu_std=None, sigma_std=None) -> FlowModel:
-    """Construct a flow with the configured architecture and a seeded init."""
+def build_flow(dim: int, config: TrainConfig, mu_std=None, sigma_std=None,
+               storage=None) -> FlowModel:
+    """Construct a flow with the configured architecture and a seeded init
+    (in ``storage``, if given: see ``FlowModel``)."""
     init_gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(0x11AD, 0))))
     if mu_std is None:
         mu_std = np.zeros(dim)
     if sigma_std is None:
         sigma_std = np.ones(dim)
-    return FlowModel(dim, config.n_blocks, config.hidden, init_gen, mu_std, sigma_std)
+    return FlowModel(dim, config.n_blocks, config.hidden, init_gen, mu_std, sigma_std, storage)
 
 
 def nll(model: FlowModel, batch) -> float:
@@ -397,84 +413,130 @@ def _backward_blocks(model: FlowModel, caches, dz, c_logdet: float) -> None:
         dz = blk.backward(cache, dz, c_logdet)
 
 
-def _conditioner_1d(model: FlowModel) -> dict:
-    """Every block's conditioner output and enrichment pair for a 1-D flow.
+def _conditioner_1d(stacked: list[np.ndarray]) -> dict:
+    """Every block's conditioner output and enrichment pair for 1-D flows.
 
-    Arrays have a leading block axis; ``FlowBlock.forward``'s operations
-    on them are kept, less the hidden layer's zero-masked product (its
-    mask is all zero for dim = 1; the heads' masks are all one).  The row
-    chain reads the per-block values as Python floats."""
-    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = model._stacked
+    ``stacked`` holds the parameter views with leading (model, block)
+    axes, so the values come out shaped (models, blocks).
+    ``FlowBlock.forward``'s operations on them are kept, less the hidden
+    layer's zero-masked product (its mask is all zero for dim = 1; the
+    heads' masks are all one)."""
+    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
     h = np.tanh(b)
-    mu = np.matmul(h[:, None], w_mu)[:, 0, 0] + b_mu[:, 0]
-    s_raw = np.matmul(h[:, None], w_s)[:, 0, 0] + b_s[:, 0]
+    mu = np.matmul(h[..., None, :], w_mu)[..., 0, 0] + b_mu[..., 0]
+    s_raw = np.matmul(h[..., None, :], w_s)[..., 0, 0] + b_s[..., 0]
     s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
-    ta = np.tanh(ea_raw[:, 0])
-    slope = _softplus(eb_raw[:, 0])
+    ta = np.tanh(ea_raw[..., 0])
+    slope = _softplus(eb_raw[..., 0])
     a = ta / slope
-    return {"h": h, "mu": mu.tolist(), "s_raw": s_raw.tolist(), "s": s.tolist(),
-            "exp_ms": np.exp(-s).tolist(), "ta": ta, "b_arr": slope, "a": a.tolist(),
-            "b": slope.tolist(), "ab": (a * slope).tolist(), "two_b": (2.0 * slope).tolist(),
-            "dgp_coef": (-2.0 * a * slope * slope).tolist()}
+    chain = np.stack([mu, s, np.exp(-s), a, slope, a * slope, 2.0 * slope,
+                      -2.0 * a * slope * slope])
+    return {"h": h, "s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
+
+
+# the row chain's per-block values, in the order of ``_conditioner_1d``'s "chain"
+_CHAIN_KEYS = ("mu", "s", "exp_ms", "a", "b", "ab", "two_b", "dgp_coef")
+
+
+def _block_values(cond: dict, models) -> dict:
+    """The row chain's per-block values of some models of ``cond``: for one
+    model (an int index), lists of Python floats; for a group (a list of
+    indices), a (g, 1) column per block, which broadcasts over (g, n) rows."""
+    values = cond["chain"][:, models]
+    if isinstance(models, list):
+        values = values.transpose(0, 2, 1)[..., None]
+    else:
+        values = values.tolist()
+    return dict(zip(_CHAIN_KEYS, values))
+
+
+def _chain_1d(x, c: dict, logdet=None, keep: bool = False):
+    """Run every block's row operations of ``FlowBlock.forward``, in its
+    order, on the rows ``x`` ((n,) for one model, (g, n) for a group) with
+    block values ``c``.  Returns (z, logdet, rows): the logdet is
+    accumulated only if one is given, and each block's rows are kept only
+    if ``keep``."""
+    rows = []
+    for k in range(len(c["mu"])):
+        u = (x - c["mu"][k]) * c["exp_ms"][k]
+        t = np.tanh(c["b"][k] * u)
+        x = u + c["a"][k] * t
+        one_mt2 = 1.0 - t * t
+        gp = 1.0 + c["ab"][k] * one_mt2
+        if logdet is not None:
+            logdet = logdet + (np.log(gp) - c["s"][k])
+        if keep:
+            rows.append((u, t, gp, one_mt2))
+        del u, t, gp, one_mt2   # scoring holds one block's rows at a time
+    return x, logdet, rows
+
+
+def _chain_backward_1d(rows, c: dict, dz, c_logdet: float) -> np.ndarray:
+    """Reverse-mode through ``_chain_1d``: ``FlowBlock.backward``'s row sums
+    per block.  Returns (dmu, ds, da, db) stacked, shaped (4, blocks) for
+    one model and (4, blocks, g) for a group; ds ignores the clamp.
+
+    Each block's six row terms are written to one buffer and summed in one
+    reduction; each row sum is still its own sum over the rows, and da and
+    db each add their two sums, as ``FlowBlock.backward`` does."""
+    n_blocks = len(rows)
+    terms = np.empty((6, n_blocks) + dz.shape)   # dmu, ds, da, db, da's and db's 2nd parts
+    for k in reversed(range(n_blocks)):
+        u, t, gp, one_mt2 = rows[k]
+        a, slope = c["a"][k], c["b"][k]
+        dgp = c_logdet / gp
+        du = dz * gp + dgp * c["dgp_coef"][k] * t * one_mt2
+        np.multiply(dz, t, out=terms[2, k])
+        np.multiply(dz * a * u, one_mt2, out=terms[3, k])
+        np.multiply(dgp * slope, one_mt2, out=terms[4, k])
+        np.multiply(dgp * a * one_mt2, 1.0 - c["two_b"][k] * t * u, out=terms[5, k])
+        neg_du = -du
+        exp_ms = c["exp_ms"][k]
+        np.subtract(neg_du * u, c_logdet, out=terms[1, k])
+        np.multiply(neg_du, exp_ms, out=terms[0, k])
+        dz = du * exp_ms
+    sums = terms.sum(axis=-1)
+    sums[2:4] += sums[4:]
+    return sums[:4]
+
+
+def _conditioner_adjoint_1d(stacked, g_stacked, cond: dict, dmu, ds, da, db) -> None:
+    """Add the stacked conditioners' adjoint for the blocks' row sums, each
+    broadcast against ``cond``'s (models, blocks) shape, to the gradient
+    views ``g_stacked``."""
+    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
+    g_w, g_b, g_w_mu, g_b_mu, g_w_s, g_b_s, g_ea_raw, g_eb_raw = g_stacked
+    ds = np.where(np.abs(cond["s_raw"]) < LOG_SCALE_CLAMP, ds, 0.0)  # the clamp passes none
+    g_b_mu[..., 0] += dmu
+    g_b_s[..., 0] += ds
+    h = cond["h"]
+    g_w_mu[..., 0] += h * dmu[..., None]
+    g_w_s[..., 0] += h * ds[..., None]
+    dh = dmu[..., None] * w_mu[..., 0] + ds[..., None] * w_s[..., 0]
+    g_b += dh * (1.0 - h * h)     # the hidden weights and the input are masked out
+    ta, slope = cond["ta"], cond["b"]
+    sig = _sigmoid(eb_raw[..., 0])
+    g_ea_raw[..., 0] += da * (1.0 - ta * ta) / slope
+    g_eb_raw[..., 0] += db * sig + da * (-ta / (slope * slope)) * sig
 
 
 def _forward_1d(model: FlowModel, y, keep: bool):
     """Standardize ``y`` and run every block of a 1-D flow on its scalar
-    conditioner: the row operations of ``FlowBlock.forward``, in its order.
-    Returns (z, logdet, cache); the cache holds each block's rows only if
-    ``keep``."""
+    conditioner.  Returns (z, logdet, cache); the cache holds each block's
+    rows only if ``keep``."""
     x, logdet = model._standardize(y)
-    x = x[:, 0]
-    cond = _conditioner_1d(model)
-    rows = []
-    for k in range(len(model.blocks)):
-        u = (x - cond["mu"][k]) * cond["exp_ms"][k]
-        t = np.tanh(cond["b"][k] * u)
-        x = u + cond["a"][k] * t
-        one_mt2 = 1.0 - t * t
-        gp = 1.0 + cond["ab"][k] * one_mt2
-        logdet = logdet + (np.log(gp) - cond["s"][k])
-        if keep:
-            rows.append((u, t, gp, one_mt2))
-        del u, t, gp, one_mt2   # scoring holds one block's rows at a time
-    return x[:, None], logdet, (cond, rows)
+    cond = _conditioner_1d(model._stacked)
+    c = _block_values(cond, 0)
+    z, logdet, rows = _chain_1d(x[:, 0], c, logdet, keep)
+    return z[:, None], logdet, (cond, c, rows)
 
 
 def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
-    """Reverse-mode through ``_forward_1d``: ``FlowBlock.backward``'s row
-    sums per block, then the stacked conditioners' adjoint once."""
-    cond, rows = cache
-    n_blocks = len(model.blocks)
-    dmu, ds, da, db = (np.zeros(n_blocks) for _ in range(4))
-    dz = dz[:, 0]
-    for k in reversed(range(n_blocks)):
-        u, t, gp, one_mt2 = rows[k]
-        a, slope = cond["a"][k], cond["b"][k]
-        dgp = c_logdet / gp
-        du = dz * gp + dgp * cond["dgp_coef"][k] * t * one_mt2
-        da[k] = (dz * t).sum() + (dgp * slope * one_mt2).sum()
-        db[k] = (dz * a * u * one_mt2).sum() \
-            + (dgp * a * one_mt2 * (1.0 - cond["two_b"][k] * t * u)).sum()
-        neg_du = -du
-        exp_ms = cond["exp_ms"][k]
-        if abs(cond["s_raw"][k]) < LOG_SCALE_CLAMP:   # else the clamp passes no gradient
-            ds[k] = (neg_du * u - c_logdet).sum()
-        dmu[k] = (neg_du * exp_ms).sum()
-        dz = du * exp_ms
-
-    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = model._stacked
-    g_w, g_b, g_w_mu, g_b_mu, g_w_s, g_b_s, g_ea_raw, g_eb_raw = model._g_stacked
-    g_b_mu[:, 0] += dmu
-    g_b_s[:, 0] += ds
-    h = cond["h"]
-    g_w_mu[:, :, 0] += h * dmu[:, None]
-    g_w_s[:, :, 0] += h * ds[:, None]
-    dh = dmu[:, None] * w_mu[:, :, 0] + ds[:, None] * w_s[:, :, 0]
-    g_b += dh * (1.0 - h * h)     # the hidden weights and the input are masked out
-    ta, slope = cond["ta"], cond["b_arr"]
-    sig = _sigmoid(eb_raw[:, 0])
-    g_ea_raw[:, 0] += da * (1.0 - ta * ta) / slope
-    g_eb_raw[:, 0] += db * sig + da * (-ta / (slope * slope)) * sig
+    """Reverse-mode through ``_forward_1d``: the blocks' row sums, then the
+    stacked conditioners' adjoint once."""
+    cond, c, rows = cache
+    sums = _chain_backward_1d(rows, c, dz[:, 0], c_logdet)
+    _conditioner_adjoint_1d(model._stacked, model._g_stacked, cond, *sums)
 
 
 ADAM_BETA1 = 0.9
@@ -496,12 +558,16 @@ class AdamState:
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
               config: TrainConfig) -> None:
     """In-place Adam update of the flat parameter vector, with bias
-    correction and global-norm clipping; ``grad`` is left unchanged."""
+    correction and global-norm clipping; ``grad`` is left unchanged.
+
+    A (k, P) ``theta`` holds k models' vectors, one per row: each row is
+    clipped by its own norm, and they share the step counter."""
     if theta.shape != grad.shape or theta.shape != state.m.shape:
         raise RuntimeError("parameter/gradient/state shape mismatch")
-    norm = math.sqrt(float((grad * grad).sum()))   # numpy's sum, not BLAS: thread-free
-    if norm > CLIP_NORM:
-        grad = grad * (CLIP_NORM / norm)
+    norm = np.sqrt((grad * grad).sum(axis=-1, keepdims=True))  # numpy's sum, not BLAS: thread-free
+    if (norm > CLIP_NORM).any():
+        # fmax leaves every other row (a NaN norm too) multiplied by exactly 1
+        grad = grad * (CLIP_NORM / np.fmax(norm, CLIP_NORM))
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
@@ -515,37 +581,144 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
 def train(data, config: TrainConfig) -> FlowModel:
     """Fit a flow by Adam on the average NLL; returns the model that scored
     the best NLL on a held-out split (deterministic for a fixed seed)."""
-    arr = _as_2d(data)
-    n, dim = arr.shape
-    if n < max(2, config.batch_size // 8):
-        raise ValueError(f"not enough training samples ({n})")
-    mu_std, sigma_std = standardizer_fit(arr)
-    model = build_flow(dim, config, mu_std, sigma_std)
+    return train_many([data], [config])[0]
 
-    shuffle_gen = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(0x5417, 0))))
-    perm = shuffle_gen.permutation(n)
-    n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
-    hold = arr[perm[:n_hold]]
-    tr = arr[perm[n_hold:]]
-    if tr.shape[0] == 0:
-        raise ValueError("holdout split left no training data")
 
-    state = AdamState(model.theta)
-    best_nll = nll(model, hold)
-    best_theta = model.theta.copy()
-    bs = min(config.batch_size, tr.shape[0])
-    for _ in range(config.epochs):
-        order = shuffle_gen.permutation(tr.shape[0])
-        for start in range(0, tr.shape[0], bs):
-            grad_nll(model, tr[order[start : start + bs]])
-            adam_step(model.theta, model.grad, state, config)
-        hold_nll = nll(model, hold)
-        if hold_nll < best_nll:
-            best_nll = hold_nll
-            best_theta = model.theta.copy()
-    model.theta[:] = best_theta
-    return model
+def train_many(datasets, configs) -> list[FlowModel]:
+    """Fit one flow per (dataset, config) pair, as ``train`` does, and
+    return them in input order.
+
+    Every dataset is checked before any step.  The 1-D flows that share
+    their block count, hidden width and learning rate train in lockstep
+    (see ``_lockstep``); each keeps its own seed, standardizer, hold-out
+    split, shuffle stream, clip decision and best-epoch snapshot, so every
+    model is bit-identical to its own ``train`` run."""
+    if len(datasets) != len(configs):
+        raise ValueError(f"{len(datasets)} datasets but {len(configs)} configs")
+    fits = []
+    for i, (data, config) in enumerate(zip(datasets, configs)):
+        try:
+            fits.append(_Fit(data, config))
+        except ValueError as err:
+            raise ValueError(f"dataset {i}: {err}") from None
+    runs: dict = {}
+    for fit in fits:
+        cfg = fit.config
+        key = (cfg.n_blocks, cfg.hidden, cfg.learning_rate) if fit.dim == 1 else fit
+        runs.setdefault(key, []).append(fit)
+    for run in runs.values():
+        _lockstep(sorted(run, key=lambda fit: -fit.n_steps))
+    return [fit.model for fit in fits]
+
+
+class _Fit:
+    """One model's data and schedule in a lockstep run: its hold-out split,
+    its training rows (standardized, as one 1-D array, for a 1-D flow),
+    its shuffle stream and its best-epoch snapshot."""
+
+    def __init__(self, data, config: TrainConfig):
+        arr = _as_2d(data)
+        n, self.dim = arr.shape
+        if n < max(2, config.batch_size // 8):
+            raise ValueError(f"not enough training samples ({n})")
+        self.config = config
+        self.mu_std, self.sigma_std = standardizer_fit(arr)
+        self.shuffle_gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(0x5417, 0))))
+        perm = self.shuffle_gen.permutation(n)
+        n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
+        self.hold = arr[perm[:n_hold]]
+        tr = arr[perm[n_hold:]]
+        if tr.shape[0] == 0:
+            raise ValueError("holdout split left no training data")
+        # the 1-D step takes standardized rows; grad_nll standardizes its own
+        self.rows = ((tr - self.mu_std) / self.sigma_std)[:, 0] if self.dim == 1 else tr
+        self.batch_size = min(config.batch_size, tr.shape[0])
+        self.per_epoch = -(-tr.shape[0] // self.batch_size)
+        self.n_steps = config.epochs * self.per_epoch
+
+    def start(self, storage) -> None:
+        """Build the model in ``storage`` and score its initial hold-out NLL."""
+        self.model = build_flow(self.dim, self.config, self.mu_std, self.sigma_std, storage)
+        self.best_nll = nll(self.model, self.hold)
+        self.best_theta = self.model.theta.copy()
+
+    def batch(self, step: int) -> np.ndarray:
+        """The rows of training step ``step``; an epoch's first step draws
+        the epoch's order."""
+        j = step % self.per_epoch
+        if j == 0:
+            self.order = self.shuffle_gen.permutation(self.rows.shape[0])
+        return self.rows[self.order[j * self.batch_size:(j + 1) * self.batch_size]]
+
+    def after(self, step: int) -> None:
+        """After an epoch's last step, keep the model if its hold-out NLL is
+        the best yet."""
+        if step % self.per_epoch == self.per_epoch - 1:
+            hold_nll = nll(self.model, self.hold)
+            if hold_nll < self.best_nll:
+                self.best_nll = hold_nll
+                self.best_theta = self.model.theta.copy()
+
+
+def _lockstep(fits: list[_Fit]) -> None:
+    """Train ``fits``, which share an architecture and a learning rate and
+    are sorted by step count (longest first), one step each per round.
+
+    Their ``theta``, ``grad`` and Adam moments are rows of (k, P) arrays;
+    the models still training are a prefix of the rows, and the
+    conditioner, its adjoint and the Adam step run once per round over
+    that prefix.  Only the 1-D row chain is split, by batch rows.  A flow
+    of dim > 1 trains alone (k = 1) through ``grad_nll``."""
+    first = fits[0]
+    cfg = first.config
+    theta = np.zeros((len(fits), FlowModel.n_params(first.dim, cfg.n_blocks, cfg.hidden)))
+    grad = np.zeros_like(theta)
+    for i, fit in enumerate(fits):
+        fit.start((theta[i], grad[i]))
+    state = AdamState(theta)
+    shapes = FlowBlock.param_shapes(first.dim, cfg.hidden, FlowModel.enriched(first.dim))
+    active = 0
+    for step in range(first.n_steps):
+        if active == 0 or fits[active - 1].n_steps <= step:
+            active = sum(fit.n_steps > step for fit in fits)
+            theta, grad = theta[:active], grad[:active]
+            state.m, state.v = state.m[:active], state.v[:active]
+            stacked = _views(theta.reshape(active, cfg.n_blocks, -1), shapes)
+            g_stacked = _views(grad.reshape(active, cfg.n_blocks, -1), shapes)
+        batches = [fit.batch(step) for fit in fits[:active]]
+        if first.dim == 1:
+            grad[:] = 0.0
+            _grad_1d(stacked, g_stacked, batches)
+        else:
+            grad_nll(first.model, batches[0])
+        adam_step(theta, grad, state, cfg)
+        for fit in fits[:active]:
+            fit.after(step)
+    for fit in fits:
+        fit.model.theta[:] = fit.best_theta
+
+
+def _grad_1d(stacked, g_stacked, batches: list[np.ndarray]) -> None:
+    """Add each model's batch-NLL gradient to ``g_stacked``: the
+    conditioners once for all models, the row chain once per group of
+    models whose batches have equal row counts.  A one-model group runs
+    on 1-D rows with Python-float block values, as ``grad_nll`` does."""
+    cond = _conditioner_1d(stacked)
+    sums = np.empty((4,) + cond["s_raw"].shape[::-1])  # (dmu, ds, da, db) per block and model
+    groups: dict[int, list[int]] = {}
+    for i, rows in enumerate(batches):
+        groups.setdefault(rows.shape[0], []).append(i)
+    for n, members in groups.items():
+        if len(members) == 1:
+            members, = members      # an int index: Python-float block values
+            x = batches[members]
+        else:
+            x = np.stack([batches[i] for i in members])
+        c = _block_values(cond, members)
+        z, _, rows = _chain_1d(x, c, keep=True)
+        sums[..., members] = _chain_backward_1d(rows, c, z / n, -1.0 / n)
+    _conditioner_adjoint_1d(stacked, g_stacked, cond, *sums.transpose(0, 2, 1))
 
 
 # -- serialization ----------------------------------------------------------
@@ -592,8 +765,7 @@ def load_flow(path) -> FlowModel:
             raise ValueError(f"{path}: {err}") from None
         mu_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
         sigma_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()
-        shapes = FlowBlock.param_shapes(dim, hidden, bool(enrich))
-        raw = read(8 * n_blocks * sum(math.prod(s) for s in shapes), "parameter data")
+        raw = read(8 * FlowModel.n_params(dim, n_blocks, hidden), "parameter data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     model = build_flow(dim, config, mu_std, sigma_std)

@@ -6,7 +6,9 @@ elements the first and the last coincide and are fitted once), then
 evaluates missed-detection and false-alarm rates on fresh labeled data
 and compares the simulated SJNR against the closed form.  Seeds are
 derived per point from labeled substreams, so points are independent and
-the emitted CSV is byte-identical across reruns.
+the emitted CSV is byte-identical across reruns.  A sweep draws every
+point first, trains all their flows in one lockstep run, then scores
+each point.
 """
 
 from __future__ import annotations
@@ -50,19 +52,36 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def _fit_variant(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
-                 variant: str) -> detector.FittedDetector:
-    """Fit one detector variant on freshly generated training data (the
+@dataclass
+class _FitDraw:
+    """One drawn detector fit: the flow's training statistics and seed, and
+    what calibrates its threshold."""
+
+    n_elements: int
+    variant: str
+    statistics: np.ndarray
+    train_config: flow.TrainConfig
+    null: theory.GammaNull
+    dcfg: detector.DetectorConfig
+    calib_gen: np.random.Generator
+
+    def calibrated(self, model: flow.FlowModel) -> detector.FittedDetector:
+        return detector.calibrate(model, self.null, self.dcfg, self.calib_gen,
+                                  n_train=len(self.statistics))
+
+
+def _draw_fit(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
+              variant: str) -> _FitDraw:
+    """Draw one detector variant's training statistics on ``scenario`` (the
     sweeps and the CLI ``train`` command share this path).
 
-    ``variant`` is "unsup" or "sup"; the no-surface baseline is the
-    unsupervised path run on a zero-element scenario (same code, same
+    ``variant`` is "unsup" (the prefiltered unlabeled mixture) or "sup"
+    (transmit-hypothesis statistics); the no-surface baseline is the
+    unsupervised variant drawn on a zero-element scenario (same code, same
     seed labels), which makes the N_D = 0 sweep row bit-identical to it.
     """
     null = theory.GammaNull(dcfg.n_samples, scenario.fading.noise_w)
     t_total = cfg["detector.train_size"]
-    tcfg = cfg.train_config(seed=seeds.derive(f"train-init/{variant}").root_seed)
-    calib_gen = seeds.child(f"calibrate/{variant}")
     if variant == "unsup":
         n_h1 = int(round(dcfg.mixture_h1 * t_total))
         h1 = channel.gen_willie_statistics(seeds.child("train-data/unsup/h1"),
@@ -71,12 +90,15 @@ def _fit_variant(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
                                            scenario, "H0", t_total - n_h1, dcfg.n_samples)
         mix = np.concatenate([h1, h0])
         mix = mix[seeds.child("train-data/unsup/shuffle").permutation(mix.size)]
-        return detector.fit_unsupervised(mix, null, dcfg, tcfg, calib_gen)
-    if variant == "sup":
-        h1 = channel.gen_willie_statistics(seeds.child("train-data/sup/h1"),
-                                           scenario, "H1", t_total, dcfg.n_samples)
-        return detector.fit_supervised(h1, null, dcfg, tcfg, calib_gen)
-    raise ValueError(f"unknown detector variant {variant!r}")
+        statistics = detector.prefilter(mix, null, dcfg.rho)
+    elif variant == "sup":
+        statistics = channel.gen_willie_statistics(seeds.child("train-data/sup/h1"),
+                                                   scenario, "H1", t_total, dcfg.n_samples)
+    else:
+        raise ValueError(f"unknown detector variant {variant!r}")
+    tcfg = cfg.train_config(seed=seeds.derive(f"train-init/{variant}").root_seed)
+    return _FitDraw(scenario.geometry.n_elements, variant, statistics, tcfg, null, dcfg,
+                    seeds.child(f"calibrate/{variant}"))
 
 
 def _eval_h0(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario,
@@ -96,16 +118,6 @@ def _eval_batch(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, n_samp
     eval_h1 = channel.gen_willie_statistics(seeds.child(f"eval/h1/{n_d}"), scenario, "H1",
                                             len(eval_h0), n_samples)
     return detector.ObservationBatch(eval_h0, eval_h1)
-
-
-def _fit_and_evaluate(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
-                      variants: tuple[str, ...], eval_h0) -> list[detector.DetectionReport]:
-    """Fit each variant on ``scenario`` with seed labels keyed by its element
-    count (a zero-element point is the no-surface baseline), then evaluate."""
-    n_d = scenario.geometry.n_elements
-    batch = _eval_batch(cfg, seeds, scenario, dcfg.n_samples, eval_h0)
-    fits = (_fit_variant(cfg, seeds.derive(f"fit/{n_d}"), scenario, dcfg, v) for v in variants)
-    return [detector.evaluate(det, batch) for det in fits]
 
 
 def _sjnr_pair(cfg: ScenarioConfig, seeds: statkit.SeedStream, p0_dbm: float,
@@ -134,51 +146,104 @@ _SWEEP_LISTS = {"p0_dbm": "sweep.powers_dbm", "n_elements": "sweep.elements",
                 "n_samples": "sweep.samples"}
 
 
-def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
-              sweep_value: float) -> SweepResult:
-    """Fit and evaluate all detector variants with ``sweep_var`` set to
-    ``sweep_value``; the other two quantities keep their configured values."""
+@dataclass
+class _Point:
+    """A sweep point's draws: its fits, its evaluation batches by element
+    count, and its (simulated, theoretical) SJNR."""
+
+    sweep_value: float
+    dcfg: detector.DetectorConfig
+    fits: list[_FitDraw]
+    batches: dict[int, detector.ObservationBatch]
+    sjnr: tuple[float, float]
+
+
+def _draw_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
+                sweep_value: float) -> _Point:
+    """Draw everything of the point with ``sweep_var`` set to ``sweep_value``
+    (the other two quantities keep their configured values) that its fits
+    and scores need: the unsupervised and supervised fits and, on a surface
+    point, the no-surface baseline's, each with its evaluation batch."""
     setting = {"p0_dbm": cfg["sweep.fixed_p0_dbm"],
                "n_elements": cfg["dris.elements_h"] * cfg["dris.elements_v"],
                "n_samples": cfg["detector.n_samples"]}
-    if sweep_var not in setting:
-        raise ValueError(f"sweep variable must be one of {tuple(setting)}, got {sweep_var!r}")
     setting[sweep_var] = sweep_value
     p0_dbm, n_elements, n_samples = setting.values()
     seeds = root.derive(f"point/{sweep_var}/{sweep_value!r}")
     dcfg = cfg.detector_config(n_samples=n_samples)
     scen = cfg.scenario(p0_dbm, n_elements=n_elements)
-
     eval_h0 = _eval_h0(cfg, seeds, scen, n_samples)
-    rep_unsup, rep_sup = _fit_and_evaluate(cfg, seeds, scen, dcfg, ("unsup", "sup"), eval_h0)
-    rep_nodris = rep_unsup      # with no surface, the baseline is the unsupervised detector
-    if scen.geometry.n_elements > 0:
-        rep_nodris, = _fit_and_evaluate(cfg, seeds, cfg.scenario(p0_dbm, n_elements=0),
-                                        dcfg, ("unsup",), eval_h0)
-    sjnr_sim, sjnr_th = _sjnr_pair(cfg, seeds, p0_dbm, n_elements)
+    plan = [(scen, ("unsup", "sup"))]
+    if scen.geometry.n_elements > 0:   # with no surface, the baseline is the unsup fit
+        plan.append((cfg.scenario(p0_dbm, n_elements=0), ("unsup",)))
+    fits, batches = [], {}
+    for scenario, variants in plan:
+        # seed labels keyed by the element count: a 0-element point is the baseline
+        n_d = scenario.geometry.n_elements
+        batches[n_d] = _eval_batch(cfg, seeds, scenario, n_samples, eval_h0)
+        fits += [_draw_fit(cfg, seeds.derive(f"fit/{n_d}"), scenario, dcfg, v)
+                 for v in variants]
+    return _Point(sweep_value, dcfg, fits, batches,
+                  _sjnr_pair(cfg, seeds, p0_dbm, n_elements))
 
+
+def _score_point(point: _Point, models: list[flow.FlowModel], sweep_var: str,
+                 seed: int) -> SweepResult:
+    """Calibrate each fitted flow with its own generator, evaluate it on its
+    scenario's batch, and build the point's row."""
+    reports = {(fit.n_elements, fit.variant):
+               detector.evaluate(fit.calibrated(model), point.batches[fit.n_elements])
+               for fit, model in zip(point.fits, models)}
+    n_d = point.fits[0].n_elements
+    rep_unsup, rep_sup = reports[n_d, "unsup"], reports[n_d, "sup"]
+    rep_nodris = reports[0, "unsup"]    # at n_d = 0, the unsupervised fit itself
+    sjnr_sim, sjnr_th = point.sjnr
     return SweepResult(
         sweep_var=sweep_var,
-        sweep_value=sweep_value,
+        sweep_value=point.sweep_value,
         mdr_unsup=rep_unsup.mdr, mdr_unsup_lo=rep_unsup.mdr_ci[0],
         mdr_unsup_hi=rep_unsup.mdr_ci[1],
         mdr_sup=rep_sup.mdr, mdr_sup_lo=rep_sup.mdr_ci[0], mdr_sup_hi=rep_sup.mdr_ci[1],
         mdr_no_dris=rep_nodris.mdr, mdr_no_dris_lo=rep_nodris.mdr_ci[0],
         mdr_no_dris_hi=rep_nodris.mdr_ci[1],
-        far_target=dcfg.alpha,
+        far_target=point.dcfg.alpha,
         far_empirical=rep_unsup.far,
         sjnr_sim_db=sjnr_sim,
         sjnr_theory_db=sjnr_th,
-        seed=root.root_seed,
+        seed=seed,
     )
+
+
+def _run_points(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
+                values=None) -> list[SweepResult]:
+    """One row per value of ``sweep_var`` (by default the values the config
+    lists for it), in three stages: draw every point, fit every flow of
+    every point in one lockstep run, then score each point."""
+    if sweep_var not in _SWEEP_LISTS:
+        raise ValueError(f"sweep variable must be one of {tuple(_SWEEP_LISTS)}, "
+                         f"got {sweep_var!r}")
+    if values is None:
+        values = cfg[_SWEEP_LISTS[sweep_var]]
+    points = [_draw_point(cfg, root, sweep_var, v) for v in values]
+    fits = [fit for point in points for fit in point.fits]
+    models = iter(detector.fit_flows([fit.statistics for fit in fits],
+                                     [fit.train_config for fit in fits]))
+    return [_score_point(point, [next(models) for _ in point.fits], sweep_var,
+                         root.root_seed) for point in points]
+
+
+def run_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
+              sweep_value: float) -> SweepResult:
+    """Fit and evaluate all detector variants with ``sweep_var`` set to
+    ``sweep_value``; the other two quantities keep their configured values."""
+    return _run_points(cfg, root, sweep_var, [sweep_value])[0]
 
 
 def run_sweep(cfg: ScenarioConfig, sweep_var: str) -> list[SweepResult]:
     """One :func:`run_point` row per value the config lists for ``sweep_var``
     ("p0_dbm": transmit power, "n_elements": surface size, "n_samples":
-    samples per statistic)."""
-    root = statkit.SeedStream(cfg["seeds.root"])
-    return [run_point(cfg, root, sweep_var, v) for v in cfg[_SWEEP_LISTS[sweep_var]]]
+    samples per statistic); every point's flows train in one lockstep run."""
+    return _run_points(cfg, statkit.SeedStream(cfg["seeds.root"]), sweep_var)
 
 
 # -- CSV ---------------------------------------------------------------------

@@ -223,6 +223,91 @@ class TestTraining:
             TrainConfig(**kwargs)
 
 
+def ragged_sets():
+    """Datasets and configs for one lockstep run, in an input order that is
+    not their step-count order: a single-batch set (135 training rows), a
+    ragged last batch (900 rows: 3 x 256 + 132), an exact multiple of the
+    batch size (512 rows), a heavy-tailed set whose steps clip, a dim-2 set
+    that trains alone, a set of the ragged one's size with another seed and
+    epoch count, and one with another learning rate, which trains apart."""
+    gen = SeedStream(17).child("ragged")
+    fast = {"learning_rate": 0.05}     # moves the flows far enough to clip some steps
+    return [
+        (gen.standard_normal(150), TrainConfig(seed=1, epochs=4, **fast)),
+        (sample_gamma(gen, 5, 1.0, 1000), TrainConfig(seed=2, epochs=3, **fast)),
+        (gen.standard_normal(569) + 3.0, TrainConfig(seed=3, epochs=3, **fast)),
+        (np.exp(2.0 * gen.standard_normal(600)), TrainConfig(seed=4, epochs=3, **fast)),
+        (gen.standard_normal((300, 2)), TrainConfig(seed=5, epochs=2, n_blocks=2, hidden=8)),
+        (sample_gamma(gen, 5, 2.0, 1000), TrainConfig(seed=6, epochs=5, **fast)),
+        (sample_gamma(gen, 5, 2.0, 1000), TrainConfig(seed=7, epochs=2)),
+    ]
+
+
+class TestTrainMany:
+    def test_matches_train_bit_for_bit(self):
+        sets = ragged_sets()
+        many = flow.train_many([d for d, _ in sets], [c for _, c in sets])
+        assert len(many) == len(sets)
+        for (data, config), got in zip(sets, many):
+            ref = train(data, config)
+            np.testing.assert_array_equal(got.theta, ref.theta)
+            np.testing.assert_array_equal(got.mu_std, ref.mu_std)
+            np.testing.assert_array_equal(got.sigma_std, ref.sigma_std)
+
+    def test_step_gradient_is_grad_nll(self):
+        # one lockstep gradient for three models, two in a row group and one
+        # alone, equals grad_nll's (checked against finite differences) for
+        # each; the models' standardizers are the identity, so the rows are
+        # their standardized batches
+        models = [perturbed_model(1, seed=s, scale=0.3) for s in (1, 2, 3)]
+        models[1].blocks[2].made.b_s[:] = 30.0     # one block's log-scale clamps
+        gen = np.random.default_rng(7)
+        rows = [gen.standard_normal(n) * 2 + 0.5 for n in (17, 9, 17)]
+        theta = np.stack([m.theta for m in models])
+        grad = np.zeros_like(theta)
+        shapes = flow.FlowBlock.param_shapes(1, 8, True)
+        flow._grad_1d(flow._views(theta.reshape(3, 3, -1), shapes),
+                      flow._views(grad.reshape(3, 3, -1), shapes), rows)
+        for model, x, g in zip(models, rows, grad):
+            grad_nll(model, x)
+            np.testing.assert_array_equal(g, model.grad)
+
+    def test_clip_decided_per_model(self, monkeypatch):
+        # in the run above, some Adam step clips one model's gradient and
+        # not another's
+        decisions = []
+        step = flow.adam_step
+
+        def spy(theta, grad, state, config):
+            decisions.append(set(np.sqrt((grad * grad).sum(axis=-1)) > flow.CLIP_NORM))
+            step(theta, grad, state, config)
+        monkeypatch.setattr(flow, "adam_step", spy)
+        sets = ragged_sets()
+        flow.train_many([d for d, _ in sets], [c for _, c in sets])
+        assert {True, False} in decisions
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.array([1.0, 2.0]), "not enough training samples (2)"),
+        (np.ones((40, 1, 1)), "expected (n,) or (n, d) data, got shape (40, 1, 1)"),
+        (np.ones(40), "degenerate data"),
+    ], ids=["too-few", "shape", "degenerate"])
+    def test_bad_dataset_raises_before_training(self, monkeypatch, bad, message):
+        built = []
+        build = flow.build_flow
+        monkeypatch.setattr(flow, "build_flow", lambda *a, **k: built.append(a) or build(*a, **k))
+        good = SeedStream(18).child("good").standard_normal(100)
+        configs = [TrainConfig(seed=i, epochs=1) for i in range(3)]
+        with pytest.raises(ValueError, match=re.escape(f"dataset 1: {message}")):
+            flow.train_many([good, bad, good], configs)
+        assert built == []
+        with pytest.raises(ValueError, match=re.escape(f"dataset 0: {message}")):
+            train(bad, configs[0])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="2 datasets but 1 configs"):
+            flow.train_many([np.arange(100.0)] * 2, [TrainConfig(epochs=1)])
+
+
 class TestSerialization:
     def test_bit_identical_roundtrip(self, tmp_path):
         model = perturbed_model(1)

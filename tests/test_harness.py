@@ -4,12 +4,13 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from discodet import cli, flow, sweeps
+from discodet import cli, detector, flow, sweeps
 from discodet.config import parse_config_text
 from discodet.statkit import SeedStream
 from discodet.sweeps import CSV_HEADER, SweepResult, emit_csv, run_sweep
@@ -99,18 +100,48 @@ class TestSweeps:
         (0, [(0, "unsup"), (0, "sup")]),             # the baseline is the unsup fit
         (64, [(64, "unsup"), (64, "sup"), (0, "unsup")]),
     ])
-    def test_baseline_fitted_only_with_surface(self, tiny_cfg, monkeypatch, n_d, fits):
-        calls = []
-        fit = sweeps._fit_variant
+    def test_baseline_fitted_only_with_surface(self, tiny_cfg, n_d, fits):
+        point = sweeps._draw_point(tiny_cfg, SeedStream(777), "n_elements", n_d)
+        assert [(fit.n_elements, fit.variant) for fit in point.fits] == fits
+        assert sorted(point.batches) == sorted({n for n, _ in fits})
 
-        def counting_fit(cfg, seeds, scen, dcfg, variant):
-            calls.append((scen.geometry.n_elements, variant))
-            return fit(cfg, seeds, scen, dcfg, variant)
+    @pytest.mark.parametrize("sweep_var", ["p0_dbm", "n_elements", "n_samples"])
+    def test_sweep_rows_equal_one_point_rows(self, tiny_cfg, sweep_var, monkeypatch):
+        # a sweep trains every point's flows in one lockstep run; a lone
+        # point trains only its own, so equal rows show that no model
+        # leaks into another across points.  Three epochs barely move a
+        # flow, so the calibrated thresholds, which any change of a flow
+        # moves, are compared too.
+        thresholds = []
+        calibrate = detector.calibrate
 
-        monkeypatch.setattr(sweeps, "_fit_variant", counting_fit)
-        with pytest.warns(UserWarning):
-            sweeps.run_point(tiny_cfg, SeedStream(777), "n_elements", n_d)
-        assert calls == fits
+        def recording_calibrate(*args, **kwargs):
+            det = calibrate(*args, **kwargs)
+            thresholds.append(det.threshold)
+            return det
+
+        monkeypatch.setattr(detector, "calibrate", recording_calibrate)
+        root = SeedStream(tiny_cfg["seeds.root"])
+        with pytest.warns(UserWarning):     # tiny n_threshold triggers the warning
+            rows = run_sweep(tiny_cfg, sweep_var)
+            in_sweep = list(thresholds)
+            thresholds.clear()
+            alone = [sweeps.run_point(tiny_cfg, root, sweep_var, r.sweep_value)
+                     for r in rows]
+        assert [r.sweep_value for r in rows] == list(
+            tiny_cfg[sweeps._SWEEP_LISTS[sweep_var]])
+        for r, a in zip(rows, alone):
+            for f in fields(SweepResult):
+                assert getattr(r, f.name) == getattr(a, f.name), f.name
+        assert len(in_sweep) >= 2 * len(rows) and thresholds == in_sweep
+
+    def test_unknown_sweep_variable(self, tiny_cfg):
+        # both entry points name the valid variables before any work
+        match = r"sweep variable must be one of \('p0_dbm', 'n_elements', 'n_samples'\)"
+        with pytest.raises(ValueError, match=match + ", got 'foo'"):
+            run_sweep(tiny_cfg, "foo")
+        with pytest.raises(ValueError, match=match):
+            sweeps.run_point(tiny_cfg, SeedStream(777), "foo", 1.0)
 
     def test_sjnr_theory_decreasing_in_elements(self, elements_results):
         assert elements_results[1].sjnr_theory_db < elements_results[0].sjnr_theory_db
