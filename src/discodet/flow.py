@@ -17,9 +17,15 @@ so a*b is in (-1, 1) which keeps g' > 0.  With a = 0 the block reduces to
 the plain affine transform.  Such a conditioner is the same for every
 row, so a 1-D flow computes all blocks' conditioners once per call,
 stacked over leading (model, block) axes, and runs the per-row chain on
-their scalars (``_forward_1d``).  ``train_many`` uses the model axis to
-train many 1-D flows in lockstep, one Adam step each per round, with
-results bit-identical to training each alone.
+their scalars (``_forward_1d``).  Only the chain's recurrences run block
+by block: a training pass keeps each block's u and t in one (2, blocks,
+rows) buffer, and its backward pass computes every other row term once
+for all blocks.  Scoring holds one block's temporaries at a time.  Each
+elementwise operation keeps its operands and their association, so the
+results are bit-identical to running ``FlowBlock``'s formulas block by
+block.  ``train_many`` uses the model axis to train many 1-D flows in
+lockstep, one Adam step each per round, with results bit-identical to
+training each alone.
 """
 
 from __future__ import annotations
@@ -417,20 +423,25 @@ def _conditioner_1d(stacked: list[np.ndarray]) -> dict:
     """Every block's conditioner output and enrichment pair for 1-D flows.
 
     ``stacked`` holds the parameter views with leading (model, block)
-    axes, so the values come out shaped (models, blocks).
-    ``FlowBlock.forward``'s operations on them are kept, less the hidden
-    layer's zero-masked product (its mask is all zero for dim = 1; the
-    heads' masks are all one)."""
+    axes, so the values come out shaped (models, blocks); the row chain's
+    eight values are written into one (8, models, blocks) array, "chain",
+    in the order of ``_CHAIN_KEYS``.  ``FlowBlock.forward``'s operations
+    on them are kept, less the hidden layer's zero-masked product (its
+    mask is all zero for dim = 1; the heads' masks are all one)."""
     w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
+    chain = np.empty((8,) + b.shape[:-1])
+    mu, s, exp_ms, a, slope, ab, two_b, dgp_coef = chain
     h = np.tanh(b)
-    mu = np.matmul(h[..., None, :], w_mu)[..., 0, 0] + b_mu[..., 0]
+    np.add(np.matmul(h[..., None, :], w_mu)[..., 0, 0], b_mu[..., 0], out=mu)
     s_raw = np.matmul(h[..., None, :], w_s)[..., 0, 0] + b_s[..., 0]
-    s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
+    np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP, out=s)
+    np.exp(-s, out=exp_ms)
     ta = np.tanh(ea_raw[..., 0])
-    slope = _softplus(eb_raw[..., 0])
-    a = ta / slope
-    chain = np.stack([mu, s, np.exp(-s), a, slope, a * slope, 2.0 * slope,
-                      -2.0 * a * slope * slope])
+    np.logaddexp(0.0, eb_raw[..., 0], out=slope)     # softplus
+    np.divide(ta, slope, out=a)
+    np.multiply(a, slope, out=ab)
+    np.multiply(2.0, slope, out=two_b)
+    np.multiply(-2.0 * a * slope, slope, out=dgp_coef)
     return {"h": h, "s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
 
 
@@ -438,63 +449,80 @@ def _conditioner_1d(stacked: list[np.ndarray]) -> dict:
 _CHAIN_KEYS = ("mu", "s", "exp_ms", "a", "b", "ab", "two_b", "dgp_coef")
 
 
-def _block_values(cond: dict, models) -> dict:
-    """The row chain's per-block values of some models of ``cond``: for one
-    model (an int index), lists of Python floats; for a group (a list of
-    indices), a (g, 1) column per block, which broadcasts over (g, n) rows."""
+def _block_values(cond: dict, models) -> tuple[dict, dict]:
+    """The row chain's per-block values of some models of ``cond``, twice:
+    for the block-by-block part, indexed by block, Python floats for one
+    model (an int index) or a (g, 1) column per block for a group (a
+    list of indices), which broadcasts over (g, n) rows; and for the
+    all-blocks part, one column per value, (blocks, 1) or (blocks, g, 1),
+    which broadcasts over the (blocks, n) or (blocks, g, n) rows of every
+    block at once."""
     values = cond["chain"][:, models]
     if isinstance(models, list):
-        values = values.transpose(0, 2, 1)[..., None]
+        columns = values.transpose(0, 2, 1)[..., None]
+        per_block = columns
     else:
-        values = values.tolist()
-    return dict(zip(_CHAIN_KEYS, values))
+        columns = values[..., None]
+        per_block = values.tolist()
+    return dict(zip(_CHAIN_KEYS, per_block)), dict(zip(_CHAIN_KEYS, columns))
 
 
 def _chain_1d(x, c: dict, logdet=None, keep: bool = False):
     """Run every block's row operations of ``FlowBlock.forward``, in its
     order, on the rows ``x`` ((n,) for one model, (g, n) for a group) with
-    block values ``c``.  Returns (z, logdet, rows): the logdet is
-    accumulated only if one is given, and each block's rows are kept only
-    if ``keep``."""
-    rows = []
-    for k in range(len(c["mu"])):
-        u = (x - c["mu"][k]) * c["exp_ms"][k]
-        t = np.tanh(c["b"][k] * u)
+    per-block values ``c``.  Returns (z, logdet, rows): the logdet is
+    accumulated only if one is given, and only if ``keep`` are the blocks'
+    u and t written to ``rows``, one (2, blocks, *x.shape) array.  The
+    backward pass recomputes the rest from them."""
+    n_blocks = len(c["mu"])
+    rows = np.empty((2, n_blocks) + x.shape) if keep else None
+    for k in range(n_blocks):
+        u = np.subtract(x, c["mu"][k], out=rows[0, k] if keep else None)
+        u *= c["exp_ms"][k]
+        t = np.multiply(c["b"][k], u, out=rows[1, k] if keep else None)
+        np.tanh(t, out=t)
         x = u + c["a"][k] * t
-        one_mt2 = 1.0 - t * t
-        gp = 1.0 + c["ab"][k] * one_mt2
         if logdet is not None:
+            gp = 1.0 + c["ab"][k] * (1.0 - t * t)
             logdet = logdet + (np.log(gp) - c["s"][k])
-        if keep:
-            rows.append((u, t, gp, one_mt2))
-        del u, t, gp, one_mt2   # scoring holds one block's rows at a time
+        del u, t    # scoring holds one block's temporaries at a time
     return x, logdet, rows
 
 
-def _chain_backward_1d(rows, c: dict, dz, c_logdet: float) -> np.ndarray:
+def _chain_backward_1d(rows, c: dict, cols: dict, dz, c_logdet: float) -> np.ndarray:
     """Reverse-mode through ``_chain_1d``: ``FlowBlock.backward``'s row sums
-    per block.  Returns (dmu, ds, da, db) stacked, shaped (4, blocks) for
-    one model and (4, blocks, g) for a group; ds ignores the clamp.
+    per block.  ``c`` and ``cols`` are ``_block_values``' two forms of the
+    block values.  Returns (dmu, ds, da, db) stacked, shaped (4, blocks)
+    for one model and (4, blocks, g) for a group; ds ignores the clamp.
 
-    Each block's six row terms are written to one buffer and summed in one
-    reduction; each row sum is still its own sum over the rows, and da and
-    db each add their two sums, as ``FlowBlock.backward`` does."""
-    n_blocks = len(rows)
-    terms = np.empty((6, n_blocks) + dz.shape)   # dmu, ds, da, db, da's and db's 2nd parts
-    for k in reversed(range(n_blocks)):
-        u, t, gp, one_mt2 = rows[k]
-        a, slope = c["a"][k], c["b"][k]
-        dgp = c_logdet / gp
-        du = dz * gp + dgp * c["dgp_coef"][k] * t * one_mt2
-        np.multiply(dz, t, out=terms[2, k])
-        np.multiply(dz * a * u, one_mt2, out=terms[3, k])
-        np.multiply(dgp * slope, one_mt2, out=terms[4, k])
-        np.multiply(dgp * a * one_mt2, 1.0 - c["two_b"][k] * t * u, out=terms[5, k])
-        neg_du = -du
-        exp_ms = c["exp_ms"][k]
-        np.subtract(neg_du * u, c_logdet, out=terms[1, k])
-        np.multiply(neg_du, exp_ms, out=terms[0, k])
-        dz = du * exp_ms
+    Only the recurrence du = dz*gp + q, dz = du*exp_ms runs block by block;
+    every other operation runs once on all blocks' rows.  The six row
+    terms of every block go into one buffer and are summed in one
+    reduction; each row sum is still its own sum over the rows, and da
+    and db each add their two sums, as ``FlowBlock.backward`` does."""
+    u, t = rows
+    one_mt2 = 1.0 - t * t
+    gp = 1.0 + cols["ab"] * one_mt2
+    dgp = c_logdet / gp
+    q = dgp * cols["dgp_coef"] * t * one_mt2
+    dzs = np.empty_like(u)      # each block's incoming dz
+    du = np.empty_like(u)
+    dzs[-1] = dz
+    exp_ms = c["exp_ms"]
+    for k in reversed(range(len(u))):
+        du_k = np.multiply(dzs[k], gp[k], out=du[k])
+        du_k += q[k]
+        if k:
+            np.multiply(du_k, exp_ms[k], out=dzs[k - 1])
+    a, slope = cols["a"], cols["b"]
+    terms = np.empty((6,) + u.shape)   # dmu, ds, da, db, da's and db's 2nd parts
+    np.multiply(dzs, t, out=terms[2])
+    np.multiply(dzs * a * u, one_mt2, out=terms[3])
+    np.multiply(dgp * slope, one_mt2, out=terms[4])
+    np.multiply(dgp * a * one_mt2, 1.0 - cols["two_b"] * t * u, out=terms[5])
+    neg_du = np.negative(du, out=du)
+    np.subtract(neg_du * u, c_logdet, out=terms[1])
+    np.multiply(neg_du, cols["exp_ms"], out=terms[0])
     sums = terms.sum(axis=-1)
     sums[2:4] += sums[4:]
     return sums[:4]
@@ -526,16 +554,16 @@ def _forward_1d(model: FlowModel, y, keep: bool):
     rows only if ``keep``."""
     x, logdet = model._standardize(y)
     cond = _conditioner_1d(model._stacked)
-    c = _block_values(cond, 0)
+    c, cols = _block_values(cond, 0)
     z, logdet, rows = _chain_1d(x[:, 0], c, logdet, keep)
-    return z[:, None], logdet, (cond, c, rows)
+    return z[:, None], logdet, (cond, c, cols, rows)
 
 
 def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
     """Reverse-mode through ``_forward_1d``: the blocks' row sums, then the
     stacked conditioners' adjoint once."""
-    cond, c, rows = cache
-    sums = _chain_backward_1d(rows, c, dz[:, 0], c_logdet)
+    cond, c, cols, rows = cache
+    sums = _chain_backward_1d(rows, c, cols, dz[:, 0], c_logdet)
     _conditioner_adjoint_1d(model._stacked, model._g_stacked, cond, *sums)
 
 
@@ -715,9 +743,9 @@ def _grad_1d(stacked, g_stacked, batches: list[np.ndarray]) -> None:
             x = batches[members]
         else:
             x = np.stack([batches[i] for i in members])
-        c = _block_values(cond, members)
+        c, cols = _block_values(cond, members)
         z, _, rows = _chain_1d(x, c, keep=True)
-        sums[..., members] = _chain_backward_1d(rows, c, z / n, -1.0 / n)
+        sums[..., members] = _chain_backward_1d(rows, c, cols, z / n, -1.0 / n)
     _conditioner_adjoint_1d(stacked, g_stacked, cond, *sums.transpose(0, 2, 1))
 
 

@@ -143,6 +143,98 @@ class TestScalarPath:
                 np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
 
 
+CHAIN_KEYS = ("mu", "s", "exp_ms", "a", "b", "ab", "two_b", "dgp_coef")
+
+
+def reference_conditioner(stacked):
+    """The 1-D conditioners as ``FlowBlock.forward`` computes them, stacked
+    over (model, block) axes, with the row chain's values in one array."""
+    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
+    h = np.tanh(b)
+    mu = np.matmul(h[..., None, :], w_mu)[..., 0, 0] + b_mu[..., 0]
+    s_raw = np.matmul(h[..., None, :], w_s)[..., 0, 0] + b_s[..., 0]
+    s = np.clip(s_raw, -flow.LOG_SCALE_CLAMP, flow.LOG_SCALE_CLAMP)
+    ta = np.tanh(ea_raw[..., 0])
+    slope = np.logaddexp(0.0, eb_raw[..., 0])
+    a = ta / slope
+    chain = np.stack([mu, s, np.exp(-s), a, slope, a * slope, 2.0 * slope,
+                      -2.0 * a * slope * slope])
+    return {"h": h, "s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
+
+
+def reference_row_sums(cond, model, x):
+    """One model's (dmu, ds, da, db) row sums, shaped (4, blocks), from
+    ``FlowBlock.forward``/``backward``'s row operations run one block at a
+    time on Python-float block values."""
+    c = dict(zip(CHAIN_KEYS, cond["chain"][:, model].tolist()))
+    n_blocks, n = len(c["mu"]), x.shape[0]
+    rows = []
+    for k in range(n_blocks):
+        u = (x - c["mu"][k]) * c["exp_ms"][k]
+        t = np.tanh(c["b"][k] * u)
+        x = u + c["a"][k] * t
+        one_mt2 = 1.0 - t * t
+        rows.append((u, t, 1.0 + c["ab"][k] * one_mt2, one_mt2))
+    dz, c_logdet = x / n, -1.0 / n
+    sums = np.empty((4, n_blocks))
+    for k in reversed(range(n_blocks)):
+        u, t, gp, one_mt2 = rows[k]
+        a, slope, exp_ms = c["a"][k], c["b"][k], c["exp_ms"][k]
+        dgp = c_logdet / gp
+        du = dz * gp + dgp * c["dgp_coef"][k] * t * one_mt2
+        sums[2, k] = (dz * t).sum() + (dgp * slope * one_mt2).sum()
+        sums[3, k] = (dz * a * u * one_mt2).sum() \
+            + (dgp * a * one_mt2 * (1.0 - c["two_b"][k] * t * u)).sum()
+        sums[1, k] = (-du * u - c_logdet).sum()
+        sums[0, k] = (-du * exp_ms).sum()
+        dz = du * exp_ms
+    return sums
+
+
+class TestRowChain:
+    """The 1-D row chain, which runs only its recurrences block by block,
+    against the same formulas run one block at a time: every row sum and
+    the gradient agree bit for bit, for one model, a row group of two and
+    a lone model beside it."""
+
+    @staticmethod
+    def stacked(models):
+        theta = np.stack([m.theta for m in models])
+        grad = np.zeros_like(theta)
+        n_blocks = len(models[0].blocks)
+        shapes = flow.FlowBlock.param_shapes(1, models[0].blocks[0].made.hidden, True)
+        return (flow._views(theta.reshape(len(models), n_blocks, -1), shapes),
+                flow._views(grad.reshape(len(models), n_blocks, -1), shapes), grad)
+
+    @pytest.mark.parametrize("sizes", [(1,), (17,), (256,), (17, 9, 17)],
+                             ids=["k1-n1", "k1-n17", "k1-n256", "group-and-lone"])
+    def test_matches_block_by_block(self, sizes):
+        models = [perturbed_model(1, seed=s, scale=0.3, n_blocks=5, hidden=16)
+                  for s in range(1, len(sizes) + 1)]
+        models[0].blocks[3].made.b_s[:] = 30.0     # one block's log-scale clamps
+        gen = np.random.default_rng(len(sizes))
+        batches = [gen.standard_normal(n) * 2 + 0.5 for n in sizes]
+        stacked, g_stacked, grad = self.stacked(models)
+        cond = flow._conditioner_1d(stacked)
+        ref_cond = reference_conditioner(stacked)
+        np.testing.assert_array_equal(cond["chain"], ref_cond["chain"])
+        ref_sums = np.stack([reference_row_sums(ref_cond, i, x)
+                             for i, x in enumerate(batches)], axis=-1)
+        groups = [[0, 2], 1] if len(sizes) == 3 else [0]
+        for members in groups:
+            x = np.stack([batches[i] for i in members]) if isinstance(members, list) \
+                else batches[members]
+            c, cols = flow._block_values(cond, members)
+            z, _, rows = flow._chain_1d(x, c, keep=True)
+            sums = flow._chain_backward_1d(rows, c, cols, z / x.shape[-1], -1.0 / x.shape[-1])
+            np.testing.assert_array_equal(sums, ref_sums[..., members])
+        flow._grad_1d(stacked, g_stacked, batches)
+        ref_stacked, ref_g_stacked, ref_grad = self.stacked(models)
+        flow._conditioner_adjoint_1d(ref_stacked, ref_g_stacked, ref_cond,
+                                     *ref_sums.transpose(0, 2, 1))
+        np.testing.assert_array_equal(grad, ref_grad)
+
+
 class TestGradients:
     def test_multidim_no_enrichment(self):
         model = perturbed_model(3)
@@ -479,16 +571,17 @@ class TestNumerics:
             nll(model, np.empty((0, 1)))
 
     def test_log_prob_keeps_no_block_cache(self):
-        # scoring holds one block's temporaries at a time, not all five caches
-        model = perturbed_model(1, n_blocks=5)
-        y = np.random.default_rng(3).standard_normal((200_000, 1))
+        # scoring holds one block's temporaries at a time (about nine arrays
+        # of the rows at the peak), not a stacked (blocks, rows) cache
+        model = perturbed_model(1, n_blocks=5, hidden=64)
+        y = np.random.default_rng(3).standard_normal((100_000, 1))
         tracemalloc.start()
         try:
             model.log_prob(y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * y.nbytes
+        assert peak < 12 * y.nbytes
 
     def test_width_mismatch_rejected(self):
         # one statistic per row must not broadcast across four dimensions

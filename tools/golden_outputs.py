@@ -2,17 +2,21 @@
 
     PYTHONPATH=src python3 tools/golden_outputs.py OUTDIR
 
-Runs the three sweeps and the ``train`` command on a tiny configuration
-with a fixed seed and writes ``sweep_power.csv``, ``sweep_elements.csv``,
-``sweep_samples.csv`` and ``detector.flow`` to OUTDIR.  Run it on two
-checkouts (each with its own ``src`` on PYTHONPATH) and compare; ``diff``
-prints nothing when every file is byte-identical:
+Runs the three sweeps, the ``train`` command and the ``validate``
+self-check suite on a tiny configuration with a fixed seed and writes
+``sweep_power.csv``, ``sweep_elements.csv``, ``sweep_samples.csv``,
+``detector.flow`` and ``validate.txt`` (the suite's report) to OUTDIR.
+Run it on two checkouts (each with its own ``src`` on PYTHONPATH) and
+compare; ``diff`` prints nothing when every file is byte-identical:
 
     diff -r OUT_A OUT_B
 
 The configuration is the test suite's ``TINY_CONFIG``
 (tests/test_harness.py): small Monte-Carlo sizes that still run every
-detector variant, a surface and a surface-free point.
+detector variant, a surface and a surface-free point.  ``validate`` keeps
+its own fixed Monte-Carlo sizes and takes only the scenario, the
+detector settings and the root seed from it, so ``validate.txt`` is the
+report of the suite at full size.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ seeds.root = 777
 """
 
 OUTPUTS = {"sweep-power": "sweep_power.csv", "sweep-elements": "sweep_elements.csv",
-           "sweep-samples": "sweep_samples.csv", "train": "detector.flow"}
+           "sweep-samples": "sweep_samples.csv", "train": "detector.flow",
+           "validate": "validate.txt"}
 
 
 def main(argv: list[str]) -> int:
