@@ -16,11 +16,12 @@ learnable monotone element-wise map g(u) = u + a*tanh(b*u), parameterized
 so a*b is in (-1, 1) which keeps g' > 0.  With a = 0 the block reduces to
 the plain affine transform.  Such a conditioner is the same for every
 row, so a 1-D flow computes all blocks' conditioners once per call,
-stacked over leading (model, block) axes, and runs the per-row chain on
-their scalars (``_forward_1d``).  Only the chain's recurrences run block
-by block: a training pass keeps each block's u and t in one (2, blocks,
-rows) buffer, and its backward pass computes every other row term once
-for all blocks.  Scoring holds one block's temporaries at a time.  Each
+stacked over leading (model, block) axes (``_Stacked1d``: views made
+once per set of models, the two heads as one array), and runs the
+per-row chain on their scalars (``_forward_1d``).  Only the chain's
+recurrences run block by block: a training pass keeps each block's u
+and t in one (2, blocks, rows) buffer, and its backward pass computes
+every other row term once for all blocks.  Scoring holds one block's temporaries at a time.  Each
 elementwise operation keeps its operands and their association, so the
 results are bit-identical to running ``FlowBlock``'s formulas block by
 block.  ``train_many`` uses the model axis to train many 1-D flows in
@@ -165,8 +166,15 @@ class MadeNetwork:
         return dpre @ (self.w * self.mask).T
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+def _softplus(x, out=None):
+    return np.logaddexp(0.0, x, out=out)
+
+
+def _clamp(s_raw, out=None):
+    """The log-scale clamped to +-LOG_SCALE_CLAMP: ``np.clip``'s values
+    (NaN passes through), without its Python-level dispatch."""
+    out = np.maximum(s_raw, -LOG_SCALE_CLAMP, out=out)
+    return np.minimum(out, LOG_SCALE_CLAMP, out=out)
 
 
 def _sigmoid(x):
@@ -202,7 +210,7 @@ class FlowBlock:
         """Density-direction transform; returns (z, logdet, cache)."""
         x_in = x[:, ::-1] if self.reverse else x
         mu, s_raw, h = self.made.forward(x_in, need_cache=True)
-        s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
+        s = _clamp(s_raw)
         u = (x_in - mu) * np.exp(-s)
         logdet = -s.sum(axis=1)
         if self.enrich:
@@ -253,7 +261,7 @@ class FlowBlock:
         x_in = np.zeros_like(u)
         for tdim in range(self.dim):
             mu, s_raw = self.made.forward(x_in)
-            s = np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP)
+            s = _clamp(s_raw)
             x_in[:, tdim] = mu[:, tdim] + u[:, tdim] * np.exp(s[:, tdim])
         return x_in[:, ::-1] if self.reverse else x_in
 
@@ -289,10 +297,8 @@ class FlowModel:
         self.theta, self.grad = storage
         self._params = _views(self.theta, shapes * n_blocks)
         self._grads = _views(self.grad, shapes * n_blocks)
-        # the same storage, one view per parameter with leading (model,
-        # block) axes: the stacked 1-D path's layout for a single model
-        self._stacked = _views(self.theta.reshape(1, n_blocks, -1), shapes)
-        self._g_stacked = _views(self.grad.reshape(1, n_blocks, -1), shapes)
+        if enrich:     # the same storage as the stacked 1-D path reads it
+            self._stack = _Stacked1d(self.theta[None], self.grad[None], n_blocks, hidden)
         k = len(shapes)
         self.blocks = [
             FlowBlock(dim, hidden, reverse=(i % 2 == 1), enrich=enrich, init_gen=init_gen,
@@ -419,29 +425,57 @@ def _backward_blocks(model: FlowModel, caches, dz, c_logdet: float) -> None:
         dz = blk.backward(cache, dz, c_logdet)
 
 
-def _conditioner_1d(stacked: list[np.ndarray]) -> dict:
+class _Stacked1d:
+    """The parameters and gradients of k 1-D flows as the stacked path
+    reads them: views with leading (model, block) axes into the rows of
+    (k, P) ``theta`` and ``grad``, made once per set of models.
+
+    ``FlowBlock.param_shapes`` lays a 1-D block out as the hidden layer's
+    weights and bias (``hidden`` values each), the shift head's weights and
+    bias, the log-scale head's weights and bias, and the enrichment pair
+    (ea, eb).  So the two heads are one (2, hidden + 1) array whose rows
+    are [weights, bias], and so are their gradients.  The hidden weights
+    are masked out for dim = 1 and have no view here."""
+
+    def __init__(self, theta: np.ndarray, grad: np.ndarray, n_blocks: int, hidden: int):
+        def split(flat):
+            blocks = flat.reshape(flat.shape[0], n_blocks, -1)
+            heads = blocks[..., 2 * hidden:4 * hidden + 2].reshape(
+                blocks.shape[:2] + (2, hidden + 1))
+            pair = blocks[..., 4 * hidden + 2:]
+            return (blocks[..., hidden:2 * hidden], heads[..., :hidden], heads[..., hidden],
+                    pair[..., 0], pair[..., 1])
+        self.b, self.head_w, self.head_b, self.ea_raw, self.eb_raw = split(theta)
+        self.g_b, self.g_head_w, self.g_head_b, self.g_ea_raw, self.g_eb_raw = split(grad)
+        self.head_cols = self.head_w[..., None]     # (hidden, 1) columns: one dot per head
+
+
+def _conditioner_1d(st: _Stacked1d) -> dict:
     """Every block's conditioner output and enrichment pair for 1-D flows.
 
-    ``stacked`` holds the parameter views with leading (model, block)
-    axes, so the values come out shaped (models, blocks); the row chain's
-    eight values are written into one (8, models, blocks) array, "chain",
-    in the order of ``_CHAIN_KEYS``.  ``FlowBlock.forward``'s operations
-    on them are kept, less the hidden layer's zero-masked product (its
-    mask is all zero for dim = 1; the heads' masks are all one)."""
-    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
-    chain = np.empty((8,) + b.shape[:-1])
+    The values come out shaped (models, blocks); the row chain's eight
+    values are written into one (8, models, blocks) array, "chain", in the
+    order of ``_CHAIN_KEYS``.  ``FlowBlock.forward``'s operations on them
+    are kept, less the hidden layer's zero-masked product (its mask is all
+    zero for dim = 1; the heads' masks are all one): each head is still
+    one dot product of the hidden layer with its weights, plus its bias."""
+    h = np.tanh(st.b)
+    head_dots = np.matmul(h[..., None, None, :], st.head_cols)[..., 0, 0]
+    chain = np.empty((8,) + h.shape[:-1])
     mu, s, exp_ms, a, slope, ab, two_b, dgp_coef = chain
-    h = np.tanh(b)
-    np.add(np.matmul(h[..., None, :], w_mu)[..., 0, 0], b_mu[..., 0], out=mu)
-    s_raw = np.matmul(h[..., None, :], w_s)[..., 0, 0] + b_s[..., 0]
-    np.clip(s_raw, -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP, out=s)
-    np.exp(-s, out=exp_ms)
-    ta = np.tanh(ea_raw[..., 0])
-    np.logaddexp(0.0, eb_raw[..., 0], out=slope)     # softplus
+    np.add(head_dots[..., 0], st.head_b[..., 0], out=mu)
+    s_raw = head_dots[..., 1] + st.head_b[..., 1]
+    _clamp(s_raw, out=s)
+    np.negative(s, out=exp_ms)
+    np.exp(exp_ms, out=exp_ms)
+    ta = np.tanh(st.ea_raw)
+    _softplus(st.eb_raw, out=slope)
     np.divide(ta, slope, out=a)
     np.multiply(a, slope, out=ab)
     np.multiply(2.0, slope, out=two_b)
-    np.multiply(-2.0 * a * slope, slope, out=dgp_coef)
+    np.multiply(-2.0, a, out=dgp_coef)
+    dgp_coef *= slope
+    dgp_coef *= slope
     return {"h": h, "s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
 
 
@@ -451,12 +485,12 @@ _CHAIN_KEYS = ("mu", "s", "exp_ms", "a", "b", "ab", "two_b", "dgp_coef")
 
 def _block_values(cond: dict, models) -> tuple[dict, dict]:
     """The row chain's per-block values of some models of ``cond``, twice:
-    for the block-by-block part, indexed by block, Python floats for one
-    model (an int index) or a (g, 1) column per block for a group (a
-    list of indices), which broadcasts over (g, n) rows; and for the
-    all-blocks part, one column per value, (blocks, 1) or (blocks, g, 1),
-    which broadcasts over the (blocks, n) or (blocks, g, n) rows of every
-    block at once."""
+    for the forward's block-by-block part, indexed by block, Python floats
+    for one model (an int index) or a (g, 1) column per block for a group
+    (a list of indices), which broadcasts over (g, n) rows; and for the
+    backward, one column per value, (blocks, 1) or (blocks, g, 1), which
+    broadcasts over the (blocks, n) or (blocks, g, n) rows of every block
+    at once."""
     values = cond["chain"][:, models]
     if isinstance(models, list):
         columns = values.transpose(0, 2, 1)[..., None]
@@ -489,11 +523,11 @@ def _chain_1d(x, c: dict, logdet=None, keep: bool = False):
     return x, logdet, rows
 
 
-def _chain_backward_1d(rows, c: dict, cols: dict, dz, c_logdet: float) -> np.ndarray:
+def _chain_backward_1d(rows, cols: dict, dz, c_logdet: float) -> np.ndarray:
     """Reverse-mode through ``_chain_1d``: ``FlowBlock.backward``'s row sums
-    per block.  ``c`` and ``cols`` are ``_block_values``' two forms of the
-    block values.  Returns (dmu, ds, da, db) stacked, shaped (4, blocks)
-    for one model and (4, blocks, g) for a group; ds ignores the clamp.
+    per block, from ``_block_values``' columns ``cols``.  Returns (dmu, ds,
+    da, db) stacked, shaped (4, blocks) for one model and (4, blocks, g)
+    for a group; ds ignores the clamp.
 
     Only the recurrence du = dz*gp + q, dz = du*exp_ms runs block by block;
     every other operation runs once on all blocks' rows.  The six row
@@ -508,12 +542,15 @@ def _chain_backward_1d(rows, c: dict, cols: dict, dz, c_logdet: float) -> np.nda
     dzs = np.empty_like(u)      # each block's incoming dz
     du = np.empty_like(u)
     dzs[-1] = dz
-    exp_ms = c["exp_ms"]
+    exp_ms = cols["exp_ms"]
+    # one model's recurrence scales by Python floats: numpy multiplies by
+    # them faster than by (1,) columns
+    exp_ms_k = exp_ms[:, 0].tolist() if exp_ms.ndim == 2 else exp_ms
     for k in reversed(range(len(u))):
         du_k = np.multiply(dzs[k], gp[k], out=du[k])
         du_k += q[k]
         if k:
-            np.multiply(du_k, exp_ms[k], out=dzs[k - 1])
+            np.multiply(du_k, exp_ms_k[k], out=dzs[k - 1])
     a, slope = cols["a"], cols["b"]
     terms = np.empty((6,) + u.shape)   # dmu, ds, da, db, da's and db's 2nd parts
     np.multiply(dzs, t, out=terms[2])
@@ -522,30 +559,32 @@ def _chain_backward_1d(rows, c: dict, cols: dict, dz, c_logdet: float) -> np.nda
     np.multiply(dgp * a * one_mt2, 1.0 - cols["two_b"] * t * u, out=terms[5])
     neg_du = np.negative(du, out=du)
     np.subtract(neg_du * u, c_logdet, out=terms[1])
-    np.multiply(neg_du, cols["exp_ms"], out=terms[0])
+    np.multiply(neg_du, exp_ms, out=terms[0])
     sums = terms.sum(axis=-1)
     sums[2:4] += sums[4:]
     return sums[:4]
 
 
-def _conditioner_adjoint_1d(stacked, g_stacked, cond: dict, dmu, ds, da, db) -> None:
-    """Add the stacked conditioners' adjoint for the blocks' row sums, each
-    broadcast against ``cond``'s (models, blocks) shape, to the gradient
-    views ``g_stacked``."""
-    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
-    g_w, g_b, g_w_mu, g_b_mu, g_w_s, g_b_s, g_ea_raw, g_eb_raw = g_stacked
-    ds = np.where(np.abs(cond["s_raw"]) < LOG_SCALE_CLAMP, ds, 0.0)  # the clamp passes none
-    g_b_mu[..., 0] += dmu
-    g_b_s[..., 0] += ds
+def _conditioner_adjoint_1d(st: _Stacked1d, cond: dict, sums) -> None:
+    """Add the stacked conditioners' adjoint to the gradient views of
+    ``st``.  ``sums`` holds the blocks' row sums, shaped (models, blocks,
+    4) with (dmu, ds, da, db) on the last axis; its ds is zeroed where the
+    clamp passes none.  The shift and log-scale heads take each step
+    together, on their (2, hidden + 1) views; every value is the product
+    or sum ``FlowBlock.backward`` forms."""
+    np.copyto(sums[..., 1], 0.0, where=~(np.abs(cond["s_raw"]) < LOG_SCALE_CLAMP))
+    dms = sums[..., :2, None]       # (dmu, ds) against each head's row
     h = cond["h"]
-    g_w_mu[..., 0] += h * dmu[..., None]
-    g_w_s[..., 0] += h * ds[..., None]
-    dh = dmu[..., None] * w_mu[..., 0] + ds[..., None] * w_s[..., 0]
-    g_b += dh * (1.0 - h * h)     # the hidden weights and the input are masked out
+    st.g_head_b += sums[..., :2]
+    st.g_head_w += dms * h[..., None, :]
+    dh_parts = dms * st.head_w
+    dh = dh_parts[..., 0, :] + dh_parts[..., 1, :]
+    st.g_b += dh * (1.0 - h * h)     # the hidden weights and the input are masked out
+    da, db = sums[..., 2], sums[..., 3]
     ta, slope = cond["ta"], cond["b"]
-    sig = _sigmoid(eb_raw[..., 0])
-    g_ea_raw[..., 0] += da * (1.0 - ta * ta) / slope
-    g_eb_raw[..., 0] += db * sig + da * (-ta / (slope * slope)) * sig
+    sig = _sigmoid(st.eb_raw)
+    st.g_ea_raw += da * (1.0 - ta * ta) / slope
+    st.g_eb_raw += db * sig + da * (-ta / (slope * slope)) * sig
 
 
 def _forward_1d(model: FlowModel, y, keep: bool):
@@ -553,18 +592,18 @@ def _forward_1d(model: FlowModel, y, keep: bool):
     conditioner.  Returns (z, logdet, cache); the cache holds each block's
     rows only if ``keep``."""
     x, logdet = model._standardize(y)
-    cond = _conditioner_1d(model._stacked)
+    cond = _conditioner_1d(model._stack)
     c, cols = _block_values(cond, 0)
     z, logdet, rows = _chain_1d(x[:, 0], c, logdet, keep)
-    return z[:, None], logdet, (cond, c, cols, rows)
+    return z[:, None], logdet, (cond, cols, rows)
 
 
 def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
     """Reverse-mode through ``_forward_1d``: the blocks' row sums, then the
     stacked conditioners' adjoint once."""
-    cond, c, cols, rows = cache
-    sums = _chain_backward_1d(rows, c, cols, dz[:, 0], c_logdet)
-    _conditioner_adjoint_1d(model._stacked, model._g_stacked, cond, *sums)
+    cond, cols, rows = cache
+    sums = _chain_backward_1d(rows, cols, dz[:, 0], c_logdet)
+    _conditioner_adjoint_1d(model._stack, cond, sums.T[None])
 
 
 ADAM_BETA1 = 0.9
@@ -672,12 +711,12 @@ class _Fit:
         self.best_theta = self.model.theta.copy()
 
     def batch(self, step: int) -> np.ndarray:
-        """The rows of training step ``step``; an epoch's first step draws
-        the epoch's order."""
+        """The rows of training step ``step``, a slice of the epoch's
+        shuffled rows, which its first step draws."""
         j = step % self.per_epoch
         if j == 0:
-            self.order = self.shuffle_gen.permutation(self.rows.shape[0])
-        return self.rows[self.order[j * self.batch_size:(j + 1) * self.batch_size]]
+            self.shuffled = self.rows[self.shuffle_gen.permutation(self.rows.shape[0])]
+        return self.shuffled[j * self.batch_size:(j + 1) * self.batch_size]
 
     def after(self, step: int) -> None:
         """After an epoch's last step, keep the model if its hold-out NLL is
@@ -705,19 +744,18 @@ def _lockstep(fits: list[_Fit]) -> None:
     for i, fit in enumerate(fits):
         fit.start((theta[i], grad[i]))
     state = AdamState(theta)
-    shapes = FlowBlock.param_shapes(first.dim, cfg.hidden, FlowModel.enriched(first.dim))
     active = 0
     for step in range(first.n_steps):
         if active == 0 or fits[active - 1].n_steps <= step:
             active = sum(fit.n_steps > step for fit in fits)
             theta, grad = theta[:active], grad[:active]
             state.m, state.v = state.m[:active], state.v[:active]
-            stacked = _views(theta.reshape(active, cfg.n_blocks, -1), shapes)
-            g_stacked = _views(grad.reshape(active, cfg.n_blocks, -1), shapes)
+            if first.dim == 1:
+                stack = _Stacked1d(theta, grad, cfg.n_blocks, cfg.hidden)
         batches = [fit.batch(step) for fit in fits[:active]]
         if first.dim == 1:
             grad[:] = 0.0
-            _grad_1d(stacked, g_stacked, batches)
+            _grad_1d(stack, batches)
         else:
             grad_nll(first.model, batches[0])
         adam_step(theta, grad, state, cfg)
@@ -727,13 +765,14 @@ def _lockstep(fits: list[_Fit]) -> None:
         fit.model.theta[:] = fit.best_theta
 
 
-def _grad_1d(stacked, g_stacked, batches: list[np.ndarray]) -> None:
-    """Add each model's batch-NLL gradient to ``g_stacked``: the
-    conditioners once for all models, the row chain once per group of
-    models whose batches have equal row counts.  A one-model group runs
-    on 1-D rows with Python-float block values, as ``grad_nll`` does."""
-    cond = _conditioner_1d(stacked)
-    sums = np.empty((4,) + cond["s_raw"].shape[::-1])  # (dmu, ds, da, db) per block and model
+def _grad_1d(st: _Stacked1d, batches: list[np.ndarray]) -> None:
+    """Add each model's batch-NLL gradient to the gradient views of
+    ``st``: the conditioners once for all models, the row chain once per
+    group of models whose batches have equal row counts.  A one-model
+    group runs on 1-D rows with Python-float block values, as
+    ``grad_nll`` does."""
+    cond = _conditioner_1d(st)
+    sums = np.empty(cond["s_raw"].shape + (4,))  # (dmu, ds, da, db) per model and block
     groups: dict[int, list[int]] = {}
     for i, rows in enumerate(batches):
         groups.setdefault(rows.shape[0], []).append(i)
@@ -745,8 +784,9 @@ def _grad_1d(stacked, g_stacked, batches: list[np.ndarray]) -> None:
             x = np.stack([batches[i] for i in members])
         c, cols = _block_values(cond, members)
         z, _, rows = _chain_1d(x, c, keep=True)
-        sums[..., members] = _chain_backward_1d(rows, c, cols, z / n, -1.0 / n)
-    _conditioner_adjoint_1d(stacked, g_stacked, cond, *sums.transpose(0, 2, 1))
+        z /= n
+        sums[members] = _chain_backward_1d(rows, cols, z, -1.0 / n).T
+    _conditioner_adjoint_1d(st, cond, sums)
 
 
 # -- serialization ----------------------------------------------------------

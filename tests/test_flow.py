@@ -155,11 +155,30 @@ def reference_conditioner(stacked):
     s_raw = np.matmul(h[..., None, :], w_s)[..., 0, 0] + b_s[..., 0]
     s = np.clip(s_raw, -flow.LOG_SCALE_CLAMP, flow.LOG_SCALE_CLAMP)
     ta = np.tanh(ea_raw[..., 0])
-    slope = np.logaddexp(0.0, eb_raw[..., 0])
+    slope = flow._softplus(eb_raw[..., 0])
     a = ta / slope
     chain = np.stack([mu, s, np.exp(-s), a, slope, a * slope, 2.0 * slope,
                       -2.0 * a * slope * slope])
     return {"h": h, "s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
+
+
+def reference_adjoint(stacked, g_stacked, cond, dmu, ds, da, db):
+    """The conditioners' adjoint as ``FlowBlock.backward`` computes it, one
+    parameter at a time on the (model, block)-stacked views."""
+    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
+    g_w, g_b, g_w_mu, g_b_mu, g_w_s, g_b_s, g_ea_raw, g_eb_raw = g_stacked
+    ds = np.where(np.abs(cond["s_raw"]) < flow.LOG_SCALE_CLAMP, ds, 0.0)
+    g_b_mu[..., 0] += dmu
+    g_b_s[..., 0] += ds
+    h = cond["h"]
+    g_w_mu[..., 0] += h * dmu[..., None]
+    g_w_s[..., 0] += h * ds[..., None]
+    dh = dmu[..., None] * w_mu[..., 0] + ds[..., None] * w_s[..., 0]
+    g_b += dh * (1.0 - h * h)
+    ta, slope = cond["ta"], cond["b"]
+    sig = flow._sigmoid(eb_raw[..., 0])
+    g_ea_raw[..., 0] += da * (1.0 - ta * ta) / slope
+    g_eb_raw[..., 0] += db * sig + da * (-ta / (slope * slope)) * sig
 
 
 def reference_row_sums(cond, model, x):
@@ -193,17 +212,21 @@ def reference_row_sums(cond, model, x):
 
 class TestRowChain:
     """The 1-D row chain, which runs only its recurrences block by block,
-    against the same formulas run one block at a time: every row sum and
-    the gradient agree bit for bit, for one model, a row group of two and
-    a lone model beside it."""
+    and the conditioners' fused adjoint, against the same formulas run one
+    block and one parameter at a time: every row sum and the gradient
+    agree bit for bit, for one model, a row group of two and a lone model
+    beside it."""
 
     @staticmethod
     def stacked(models):
+        """The models' (k, P) gradient rows and their ``_Stacked1d`` and
+        per-parameter (model, block) views."""
         theta = np.stack([m.theta for m in models])
         grad = np.zeros_like(theta)
-        n_blocks = len(models[0].blocks)
-        shapes = flow.FlowBlock.param_shapes(1, models[0].blocks[0].made.hidden, True)
-        return (flow._views(theta.reshape(len(models), n_blocks, -1), shapes),
+        n_blocks, hidden = len(models[0].blocks), models[0].blocks[0].made.hidden
+        shapes = flow.FlowBlock.param_shapes(1, hidden, True)
+        return (flow._Stacked1d(theta, grad, n_blocks, hidden),
+                flow._views(theta.reshape(len(models), n_blocks, -1), shapes),
                 flow._views(grad.reshape(len(models), n_blocks, -1), shapes), grad)
 
     @pytest.mark.parametrize("sizes", [(1,), (17,), (256,), (17, 9, 17)],
@@ -211,11 +234,12 @@ class TestRowChain:
     def test_matches_block_by_block(self, sizes):
         models = [perturbed_model(1, seed=s, scale=0.3, n_blocks=5, hidden=16)
                   for s in range(1, len(sizes) + 1)]
-        models[0].blocks[3].made.b_s[:] = 30.0     # one block's log-scale clamps
+        models[0].blocks[3].made.b_s[:] = 30.0     # one block's log-scale clamps high
+        models[0].blocks[1].made.b_s[:] = -30.0    # and one low
         gen = np.random.default_rng(len(sizes))
         batches = [gen.standard_normal(n) * 2 + 0.5 for n in sizes]
-        stacked, g_stacked, grad = self.stacked(models)
-        cond = flow._conditioner_1d(stacked)
+        st, stacked, _, grad = self.stacked(models)
+        cond = flow._conditioner_1d(st)
         ref_cond = reference_conditioner(stacked)
         np.testing.assert_array_equal(cond["chain"], ref_cond["chain"])
         ref_sums = np.stack([reference_row_sums(ref_cond, i, x)
@@ -226,12 +250,11 @@ class TestRowChain:
                 else batches[members]
             c, cols = flow._block_values(cond, members)
             z, _, rows = flow._chain_1d(x, c, keep=True)
-            sums = flow._chain_backward_1d(rows, c, cols, z / x.shape[-1], -1.0 / x.shape[-1])
+            sums = flow._chain_backward_1d(rows, cols, z / x.shape[-1], -1.0 / x.shape[-1])
             np.testing.assert_array_equal(sums, ref_sums[..., members])
-        flow._grad_1d(stacked, g_stacked, batches)
-        ref_stacked, ref_g_stacked, ref_grad = self.stacked(models)
-        flow._conditioner_adjoint_1d(ref_stacked, ref_g_stacked, ref_cond,
-                                     *ref_sums.transpose(0, 2, 1))
+        flow._grad_1d(st, batches)
+        _, ref_stacked, ref_g_stacked, ref_grad = self.stacked(models)
+        reference_adjoint(ref_stacked, ref_g_stacked, ref_cond, *ref_sums.transpose(0, 2, 1))
         np.testing.assert_array_equal(grad, ref_grad)
 
 
@@ -357,9 +380,7 @@ class TestTrainMany:
         rows = [gen.standard_normal(n) * 2 + 0.5 for n in (17, 9, 17)]
         theta = np.stack([m.theta for m in models])
         grad = np.zeros_like(theta)
-        shapes = flow.FlowBlock.param_shapes(1, 8, True)
-        flow._grad_1d(flow._views(theta.reshape(3, 3, -1), shapes),
-                      flow._views(grad.reshape(3, 3, -1), shapes), rows)
+        flow._grad_1d(flow._Stacked1d(theta, grad, 3, 8), rows)
         for model, x, g in zip(models, rows, grad):
             grad_nll(model, x)
             np.testing.assert_array_equal(g, model.grad)

@@ -1,16 +1,16 @@
 """Time one 1-D flow training step, the per-layer cost of an epoch.
 
-    PYTHONPATH=src python3 tools/step_time.py [--repeats 15] [--calls 400] [--fit 0]
+    PYTHONPATH=src python3 tools/step_time.py [--fit N]
 
 A step is what ``flow.train_many`` does in one round: the batch-NLL
 gradient of every model (``flow._grad_1d``) and one ``flow.adam_step``.
 The script times k = 1 model (``validate``'s surrogate fit) and k = 6
 models (the six fits of a ``sweep-dris`` point) on 256-row batches at the
 default architecture (5 blocks, width 64).  For each k it prints the best
-and the median, over ``--repeats`` repeats, of the mean time of one step
-over ``--calls`` steps.  ``--fit N`` also times N whole ``flow.train``
-fits of 10,000 Gamma statistics over 120 epochs, the size of
-``validate``'s surrogate fit.  Only numpy and the standard library are
+and the median, over REPEATS repeats, of the mean time of one step over
+CALLS steps.  ``--fit N`` also times N whole ``flow.train`` fits of
+10,000 Gamma statistics over 120 epochs, the size of ``validate``'s
+surrogate fit.  Only numpy and the standard library are
 used; run it on two checkouts (each with its own ``src`` on PYTHONPATH)
 to compare them.
 """
@@ -30,9 +30,11 @@ BATCH_ROWS = 256
 MODEL_COUNTS = (1, 6)
 FIT_STATISTICS = 10_000
 FIT_EPOCHS = 120
+REPEATS = 15
+CALLS = 400
 
 
-def step_times(k: int, repeats: int, calls: int) -> list[float]:
+def step_times(k: int) -> list[float]:
     """Mean seconds per training step of ``k`` models, once per repeat."""
     cfg = flow.TrainConfig()
     gen = np.random.default_rng(k)
@@ -40,18 +42,16 @@ def step_times(k: int, repeats: int, calls: int) -> list[float]:
     theta += 0.1 * gen.standard_normal(theta.shape)      # away from the identity init
     grad = np.zeros_like(theta)
     state = flow.AdamState(theta)
-    shapes = flow.FlowBlock.param_shapes(1, cfg.hidden, True)
-    stacked = flow._views(theta.reshape(k, cfg.n_blocks, -1), shapes)
-    g_stacked = flow._views(grad.reshape(k, cfg.n_blocks, -1), shapes)
+    stack = flow._Stacked1d(theta, grad, cfg.n_blocks, cfg.hidden)
     batches = [gen.standard_normal(BATCH_ROWS) for _ in range(k)]
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
-        for _ in range(calls):
+        for _ in range(CALLS):
             grad[:] = 0.0
-            flow._grad_1d(stacked, g_stacked, batches)
+            flow._grad_1d(stack, batches)
             flow.adam_step(theta, grad, state, cfg)
-        times.append((time.perf_counter() - start) / calls)
+        times.append((time.perf_counter() - start) / CALLS)
     return times
 
 
@@ -74,15 +74,12 @@ def report(label: str, times: list[float], scale: float, unit: str) -> None:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--calls", type=int, default=400)
     parser.add_argument("--fit", type=int, default=0, metavar="N")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.calls < 1 or args.fit < 0:
-        parser.error("--repeats and --calls must be >= 1, --fit >= 0")
+    if args.fit < 0:
+        parser.error("--fit must be >= 0")
     for k in MODEL_COUNTS:
-        report(f"step k={k} ({BATCH_ROWS} rows)", step_times(k, args.repeats, args.calls),
-               1e6, "us")
+        report(f"step k={k} ({BATCH_ROWS} rows)", step_times(k), 1e6, "us")
     if args.fit:
         report(f"fit ({FIT_STATISTICS} statistics, {FIT_EPOCHS} epochs)",
                fit_times(args.fit), 1e3, "ms")
