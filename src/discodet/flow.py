@@ -9,19 +9,19 @@ negative log-likelihood.  All parameters of a model live in one flat
 vector ``theta`` (their gradients in ``grad``); every weight, bias and
 head array is a view into it.
 
-For one-dimensional data the masked conditioner has no inputs, so a pure
-affine stack would only span Gaussian shapes.  Each block of a 1-D flow,
-and only of a 1-D flow, therefore composes the affine map with a
+For one-dimensional data the conditioner has no inputs, so a 1-D block
+stores its shift and log-scale as constants, with no hidden layer, and a
+pure affine stack would only span Gaussian shapes.  Each block of a 1-D
+flow, and only of a 1-D flow, therefore composes the affine map with a
 learnable monotone element-wise map g(u) = u + a*tanh(b*u), parameterized
 so a*b is in (-1, 1) which keeps g' > 0.  With a = 0 the block reduces to
-the plain affine transform.  Such a conditioner is the same for every
-row, so a 1-D flow computes all blocks' conditioners once per call,
-stacked over leading (model, block) axes (``_Stacked1d``: views made
-once per set of models, the two heads as one array), and runs the
-per-row chain on their scalars (``_forward_1d``).  Only the chain's
-recurrences run block by block: a training pass keeps each block's u
-and t in one (2, blocks, rows) buffer, and its backward pass computes
-every other row term once for all blocks.  Scoring holds one block's temporaries at a time.  Each
+the plain affine transform.  A 1-D block is thus four values (shift,
+log-scale, ea, eb), and a 1-D flow computes all blocks' conditioners once
+per call on a (models, blocks, 4) view of ``theta`` and runs the per-row
+chain on their scalars (``_forward_1d``).  Only the chain's recurrences run block
+by block: a training pass keeps each block's u and t in one (2, blocks,
+rows) buffer, and its backward pass computes every other row term once
+for all blocks.  Scoring holds one block's temporaries at a time.  Each
 elementwise operation keeps its operands and their association, so the
 results are bit-identical to running ``FlowBlock``'s formulas block by
 block.  ``train_many`` uses the model axis to train many 1-D flows in
@@ -67,7 +67,7 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     n_blocks: int = 5
-    hidden: int = 64        # width of each block's one hidden layer
+    hidden: int = 64        # width of each block's one hidden layer (dim > 1)
 
     def __post_init__(self):
         if not self.learning_rate > 0:       # NaN fails too
@@ -117,9 +117,9 @@ class MadeNetwork:
     """Degree-masked dense network with one tanh hidden layer, emitting
     per-dimension (shift, log-scale).
 
-    Output t depends only on inputs with index < t; with dim = 1 the
-    outputs are input-independent learned constants, which the 1-D flow
-    path computes without calling this class.
+    Output t depends only on inputs with index < t.  It is built only for
+    dim > 1: with one input its outputs would be constants, which a 1-D
+    block stores directly.
     """
 
     def __init__(self, dim: int, hidden: int, init_gen: np.random.Generator,
@@ -143,13 +143,12 @@ class MadeNetwork:
         the shift head's (weight, bias), the log-scale head's (weight, bias)."""
         return [(dim, hidden), (hidden,), (hidden, dim), (dim,), (hidden, dim), (dim,)]
 
-    def forward(self, y: np.ndarray, need_cache: bool = False):
+    def forward(self, y: np.ndarray):
+        """(mu, s, hidden activations) for the rows ``y``."""
         h = np.tanh(y @ (self.w * self.mask) + self.b)
         mu = h @ (self.w_mu * self.out_mask) + self.b_mu
         s = h @ (self.w_s * self.out_mask) + self.b_s
-        if need_cache:
-            return mu, s, h
-        return mu, s
+        return mu, s, h
 
     def backward(self, y: np.ndarray, h: np.ndarray, dmu: np.ndarray,
                  ds: np.ndarray) -> np.ndarray:
@@ -183,7 +182,8 @@ def _sigmoid(x):
 
 class FlowBlock:
     """One autoregressive stage: optional input reversal, affine map with
-    log-scale head, optional monotone element-wise enrichment."""
+    log-scale head, optional monotone element-wise enrichment.  Its
+    conditioner is a ``MadeNetwork`` for dim > 1 and two constants for dim 1."""
 
     def __init__(self, dim: int, hidden: int, reverse: bool, enrich: bool,
                  init_gen: np.random.Generator, params: list[np.ndarray],
@@ -191,15 +191,27 @@ class FlowBlock:
         self.dim = dim
         self.reverse = reverse
         self.enrich = enrich
-        self.made = MadeNetwork(dim, hidden, init_gen, params[:6], grads[:6])
+        if dim > 1:
+            self.made = MadeNetwork(dim, hidden, init_gen, params[:6], grads[:6])
+        else:   # zero-initialized: the block starts as the identity map
+            self.shift, self.log_scale = params[:2]
+            self.g_shift, self.g_log_scale = grads[:2]
         if enrich:
             # a = tanh(ea)/b starts at 0: identity enrichment; b = softplus(eb)
-            self.ea_raw, self.eb_raw = params[6:]
-            self.g_ea_raw, self.g_eb_raw = grads[6:]
+            self.ea_raw, self.eb_raw = params[-2:]
+            self.g_ea_raw, self.g_eb_raw = grads[-2:]
 
     @staticmethod
     def param_shapes(dim: int, hidden: int, enrich: bool) -> list[tuple[int, ...]]:
-        return MadeNetwork.param_shapes(dim, hidden) + [(dim,), (dim,)] * enrich
+        cond = MadeNetwork.param_shapes(dim, hidden) if dim > 1 else [(1,), (1,)]
+        return cond + [(dim,), (dim,)] * enrich
+
+    def _conditioner(self, x_in: np.ndarray):
+        """(mu, s_raw, hidden activations) for the rows ``x_in``; a 1-D
+        block's are its constants as (1, 1) rows, with no hidden layer."""
+        if self.dim == 1:
+            return self.shift[None], self.log_scale[None], None
+        return self.made.forward(x_in)
 
     def _enrich_ab(self):
         b = _softplus(self.eb_raw)
@@ -209,7 +221,7 @@ class FlowBlock:
     def forward(self, x: np.ndarray):
         """Density-direction transform; returns (z, logdet, cache)."""
         x_in = x[:, ::-1] if self.reverse else x
-        mu, s_raw, h = self.made.forward(x_in, need_cache=True)
+        mu, s_raw, h = self._conditioner(x_in)
         s = _clamp(s_raw)
         u = (x_in - mu) * np.exp(-s)
         logdet = -s.sum(axis=1)
@@ -250,6 +262,10 @@ class FlowBlock:
         ds = -du * u - c_logdet
         ds_raw = ds * (np.abs(s_raw) < LOG_SCALE_CLAMP)
         dmu = -du * exp_ms
+        if self.dim == 1:
+            self.g_shift += dmu.sum(axis=0)
+            self.g_log_scale += ds_raw.sum(axis=0)
+            return du * exp_ms
         dx_in = du * exp_ms + self.made.backward(x_in, h, dmu, ds_raw)
         return dx_in[:, ::-1] if self.reverse else dx_in
 
@@ -260,7 +276,7 @@ class FlowBlock:
             u = z
         x_in = np.zeros_like(u)
         for tdim in range(self.dim):
-            mu, s_raw = self.made.forward(x_in)
+            mu, s_raw, _ = self._conditioner(x_in)
             s = _clamp(s_raw)
             x_in[:, tdim] = mu[:, tdim] + u[:, tdim] * np.exp(s[:, tdim])
         return x_in[:, ::-1] if self.reverse else x_in
@@ -297,8 +313,6 @@ class FlowModel:
         self.theta, self.grad = storage
         self._params = _views(self.theta, shapes * n_blocks)
         self._grads = _views(self.grad, shapes * n_blocks)
-        if enrich:     # the same storage as the stacked 1-D path reads it
-            self._stack = _Stacked1d(self.theta[None], self.grad[None], n_blocks, hidden)
         k = len(shapes)
         self.blocks = [
             FlowBlock(dim, hidden, reverse=(i % 2 == 1), enrich=enrich, init_gen=init_gen,
@@ -425,58 +439,36 @@ def _backward_blocks(model: FlowModel, caches, dz, c_logdet: float) -> None:
         dz = blk.backward(cache, dz, c_logdet)
 
 
-class _Stacked1d:
-    """The parameters and gradients of k 1-D flows as the stacked path
-    reads them: views with leading (model, block) axes into the rows of
-    (k, P) ``theta`` and ``grad``, made once per set of models.
-
-    ``FlowBlock.param_shapes`` lays a 1-D block out as the hidden layer's
-    weights and bias (``hidden`` values each), the shift head's weights and
-    bias, the log-scale head's weights and bias, and the enrichment pair
-    (ea, eb).  So the two heads are one (2, hidden + 1) array whose rows
-    are [weights, bias], and so are their gradients.  The hidden weights
-    are masked out for dim = 1 and have no view here."""
-
-    def __init__(self, theta: np.ndarray, grad: np.ndarray, n_blocks: int, hidden: int):
-        def split(flat):
-            blocks = flat.reshape(flat.shape[0], n_blocks, -1)
-            heads = blocks[..., 2 * hidden:4 * hidden + 2].reshape(
-                blocks.shape[:2] + (2, hidden + 1))
-            pair = blocks[..., 4 * hidden + 2:]
-            return (blocks[..., hidden:2 * hidden], heads[..., :hidden], heads[..., hidden],
-                    pair[..., 0], pair[..., 1])
-        self.b, self.head_w, self.head_b, self.ea_raw, self.eb_raw = split(theta)
-        self.g_b, self.g_head_w, self.g_head_b, self.g_ea_raw, self.g_eb_raw = split(grad)
-        self.head_cols = self.head_w[..., None]     # (hidden, 1) columns: one dot per head
+def _blocks_1d(flat: np.ndarray) -> np.ndarray:
+    """The (k, blocks, 4) view of k 1-D flows' (k, P) ``theta`` or
+    ``grad`` rows, whose last axis is a block's (shift, log-scale, ea,
+    eb), the layout of ``FlowBlock.param_shapes``."""
+    return flat.reshape(flat.shape[0], -1, 4)
 
 
-def _conditioner_1d(st: _Stacked1d) -> dict:
-    """Every block's conditioner output and enrichment pair for 1-D flows.
+def _conditioner_1d(params: np.ndarray) -> dict:
+    """Every block's conditioner output and enrichment pair for 1-D flows,
+    from their (models, blocks, 4) ``_blocks_1d`` view.
 
     The values come out shaped (models, blocks); the row chain's eight
     values are written into one (8, models, blocks) array, "chain", in the
-    order of ``_CHAIN_KEYS``.  ``FlowBlock.forward``'s operations on them
-    are kept, less the hidden layer's zero-masked product (its mask is all
-    zero for dim = 1; the heads' masks are all one): each head is still
-    one dot product of the hidden layer with its weights, plus its bias."""
-    h = np.tanh(st.b)
-    head_dots = np.matmul(h[..., None, None, :], st.head_cols)[..., 0, 0]
-    chain = np.empty((8,) + h.shape[:-1])
+    order of ``_CHAIN_KEYS``, by ``FlowBlock.forward``'s operations."""
+    shift, s_raw, ea_raw, eb_raw = np.moveaxis(params, -1, 0)
+    chain = np.empty((8,) + shift.shape)
     mu, s, exp_ms, a, slope, ab, two_b, dgp_coef = chain
-    np.add(head_dots[..., 0], st.head_b[..., 0], out=mu)
-    s_raw = head_dots[..., 1] + st.head_b[..., 1]
+    np.copyto(mu, shift)
     _clamp(s_raw, out=s)
     np.negative(s, out=exp_ms)
     np.exp(exp_ms, out=exp_ms)
-    ta = np.tanh(st.ea_raw)
-    _softplus(st.eb_raw, out=slope)
+    ta = np.tanh(ea_raw)
+    _softplus(eb_raw, out=slope)
     np.divide(ta, slope, out=a)
     np.multiply(a, slope, out=ab)
     np.multiply(2.0, slope, out=two_b)
     np.multiply(-2.0, a, out=dgp_coef)
     dgp_coef *= slope
     dgp_coef *= slope
-    return {"h": h, "s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
+    return {"s_raw": s_raw, "eb_raw": eb_raw, "ta": ta, "b": slope, "chain": chain}
 
 
 # the row chain's per-block values, in the order of ``_conditioner_1d``'s "chain"
@@ -565,26 +557,19 @@ def _chain_backward_1d(rows, cols: dict, dz, c_logdet: float) -> np.ndarray:
     return sums[:4]
 
 
-def _conditioner_adjoint_1d(st: _Stacked1d, cond: dict, sums) -> None:
-    """Add the stacked conditioners' adjoint to the gradient views of
-    ``st``.  ``sums`` holds the blocks' row sums, shaped (models, blocks,
-    4) with (dmu, ds, da, db) on the last axis; its ds is zeroed where the
-    clamp passes none.  The shift and log-scale heads take each step
-    together, on their (2, hidden + 1) views; every value is the product
-    or sum ``FlowBlock.backward`` forms."""
+def _conditioner_adjoint_1d(grads: np.ndarray, cond: dict, sums) -> None:
+    """Add the stacked conditioners' adjoint to ``grads``, the (models,
+    blocks, 4) ``_blocks_1d`` view of the gradient rows.  ``sums`` holds
+    the blocks' row sums, shaped (models, blocks, 4) with (dmu, ds, da,
+    db) on the last axis; its ds is zeroed where the clamp passes none.
+    Every value is the product or sum ``FlowBlock.backward`` forms."""
     np.copyto(sums[..., 1], 0.0, where=~(np.abs(cond["s_raw"]) < LOG_SCALE_CLAMP))
-    dms = sums[..., :2, None]       # (dmu, ds) against each head's row
-    h = cond["h"]
-    st.g_head_b += sums[..., :2]
-    st.g_head_w += dms * h[..., None, :]
-    dh_parts = dms * st.head_w
-    dh = dh_parts[..., 0, :] + dh_parts[..., 1, :]
-    st.g_b += dh * (1.0 - h * h)     # the hidden weights and the input are masked out
+    grads[..., :2] += sums[..., :2]
     da, db = sums[..., 2], sums[..., 3]
     ta, slope = cond["ta"], cond["b"]
-    sig = _sigmoid(st.eb_raw)
-    st.g_ea_raw += da * (1.0 - ta * ta) / slope
-    st.g_eb_raw += db * sig + da * (-ta / (slope * slope)) * sig
+    sig = _sigmoid(cond["eb_raw"])
+    grads[..., 2] += da * (1.0 - ta * ta) / slope
+    grads[..., 3] += db * sig + da * (-ta / (slope * slope)) * sig
 
 
 def _forward_1d(model: FlowModel, y, keep: bool):
@@ -592,7 +577,7 @@ def _forward_1d(model: FlowModel, y, keep: bool):
     conditioner.  Returns (z, logdet, cache); the cache holds each block's
     rows only if ``keep``."""
     x, logdet = model._standardize(y)
-    cond = _conditioner_1d(model._stack)
+    cond = _conditioner_1d(_blocks_1d(model.theta[None]))
     c, cols = _block_values(cond, 0)
     z, logdet, rows = _chain_1d(x[:, 0], c, logdet, keep)
     return z[:, None], logdet, (cond, cols, rows)
@@ -603,7 +588,7 @@ def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
     stacked conditioners' adjoint once."""
     cond, cols, rows = cache
     sums = _chain_backward_1d(rows, cols, dz[:, 0], c_logdet)
-    _conditioner_adjoint_1d(model._stack, cond, sums.T[None])
+    _conditioner_adjoint_1d(_blocks_1d(model.grad[None]), cond, sums.T[None])
 
 
 ADAM_BETA1 = 0.9
@@ -656,7 +641,7 @@ def train_many(datasets, configs) -> list[FlowModel]:
     return them in input order.
 
     Every dataset is checked before any step.  The 1-D flows that share
-    their block count, hidden width and learning rate train in lockstep
+    their block count and learning rate train in lockstep
     (see ``_lockstep``); each keeps its own seed, standardizer, hold-out
     split, shuffle stream, clip decision and best-epoch snapshot, so every
     model is bit-identical to its own ``train`` run."""
@@ -671,7 +656,7 @@ def train_many(datasets, configs) -> list[FlowModel]:
     runs: dict = {}
     for fit in fits:
         cfg = fit.config
-        key = (cfg.n_blocks, cfg.hidden, cfg.learning_rate) if fit.dim == 1 else fit
+        key = (cfg.n_blocks, cfg.learning_rate) if fit.dim == 1 else fit
         runs.setdefault(key, []).append(fit)
     for run in runs.values():
         _lockstep(sorted(run, key=lambda fit: -fit.n_steps))
@@ -750,12 +735,10 @@ def _lockstep(fits: list[_Fit]) -> None:
             active = sum(fit.n_steps > step for fit in fits)
             theta, grad = theta[:active], grad[:active]
             state.m, state.v = state.m[:active], state.v[:active]
-            if first.dim == 1:
-                stack = _Stacked1d(theta, grad, cfg.n_blocks, cfg.hidden)
         batches = [fit.batch(step) for fit in fits[:active]]
         if first.dim == 1:
             grad[:] = 0.0
-            _grad_1d(stack, batches)
+            _grad_1d(theta, grad, batches)
         else:
             grad_nll(first.model, batches[0])
         adam_step(theta, grad, state, cfg)
@@ -765,13 +748,12 @@ def _lockstep(fits: list[_Fit]) -> None:
         fit.model.theta[:] = fit.best_theta
 
 
-def _grad_1d(st: _Stacked1d, batches: list[np.ndarray]) -> None:
-    """Add each model's batch-NLL gradient to the gradient views of
-    ``st``: the conditioners once for all models, the row chain once per
-    group of models whose batches have equal row counts.  A one-model
-    group runs on 1-D rows with Python-float block values, as
-    ``grad_nll`` does."""
-    cond = _conditioner_1d(st)
+def _grad_1d(theta: np.ndarray, grad: np.ndarray, batches: list[np.ndarray]) -> None:
+    """Add each 1-D model's batch-NLL gradient to its row of (k, P) ``grad``:
+    the conditioners once for all models, the row chain once per group of
+    models whose batches have equal row counts.  A one-model group runs on
+    1-D rows with Python-float block values, as ``grad_nll`` does."""
+    cond = _conditioner_1d(_blocks_1d(theta))
     sums = np.empty(cond["s_raw"].shape + (4,))  # (dmu, ds, da, db) per model and block
     groups: dict[int, list[int]] = {}
     for i, rows in enumerate(batches):
@@ -786,7 +768,7 @@ def _grad_1d(st: _Stacked1d, batches: list[np.ndarray]) -> None:
         z, _, rows = _chain_1d(x, c, keep=True)
         z /= n
         sums[members] = _chain_backward_1d(rows, cols, z, -1.0 / n).T
-    _conditioner_adjoint_1d(st, cond, sums)
+    _conditioner_adjoint_1d(_blocks_1d(grad), cond, sums)
 
 
 # -- serialization ----------------------------------------------------------
@@ -796,14 +778,16 @@ _MAGIC = b"DSCFLOW1"
 
 def save_flow(model: FlowModel, path) -> None:
     """Versioned flat binary layout: magic, architecture header (dim, block
-    count, hidden-layer count 1, enrichment flag, hidden width), the
+    count, hidden-layer count, enrichment flag, hidden width), the
     standardizer, then ``theta`` (every parameter in declaration order) as
-    little-endian float64.  Loading reproduces log-densities bit-identically."""
+    little-endian float64.  A 1-D block has no hidden layer: count and width
+    are 0.  Loading reproduces log-densities bit-identically."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         blk = model.blocks[0]
-        fh.write(struct.pack("<IIIBI", model.dim, len(model.blocks), 1, blk.enrich,
-                             blk.made.hidden))
+        hidden = blk.made.hidden if model.dim > 1 else 0
+        fh.write(struct.pack("<IIIBI", model.dim, len(model.blocks), int(hidden > 0),
+                             blk.enrich, hidden))
         fh.write(model.mu_std.astype("<f8").tobytes())
         fh.write(model.sigma_std.astype("<f8").tobytes())
         fh.write(model.theta.astype("<f8").tobytes())
@@ -818,17 +802,19 @@ def load_flow(path) -> FlowModel:
             return fh.read(n_bytes)
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a serialized flow model")
-        dim, n_blocks, n_hidden, enrich = struct.unpack("<IIIB", read(13, "header"))
+        dim, n_blocks, n_hidden, enrich, hidden = struct.unpack("<IIIBI", read(17, "header"))
         if dim == 0:
             raise ValueError(f"{path}: zero-dimensional flow")
-        if n_hidden != 1:
-            raise ValueError(f"{path}: a flow block has one hidden layer, got {n_hidden}")
+        layers = int(dim > 1)       # a 1-D block has none: count 0, width 0
+        if n_hidden != layers or not (layers or hidden == 0):
+            raise ValueError(f"{path}: a {dim}-dimensional flow block has {('no', 'one')[layers]}"
+                             f" hidden layer, got {n_hidden} of width {hidden}")
         if enrich != FlowModel.enriched(dim):
             raise ValueError(f"{path}: enrichment flag must be {FlowModel.enriched(dim):d} "
                              f"for a {dim}-dimensional flow, got {enrich}")
-        hidden, = struct.unpack("<I", read(4, "hidden width"))
         try:
-            config = TrainConfig(n_blocks=n_blocks, hidden=hidden)
+            config = TrainConfig(n_blocks=n_blocks,
+                                 hidden=hidden if layers else TrainConfig.hidden)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
         mu_std = np.frombuffer(read(8 * dim, "standardizer"), dtype="<f8").copy()

@@ -104,7 +104,10 @@ def empirical_quantile(values: Sequence[float], q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     idx = min(max(math.ceil(q * arr.size) - 1, 0), arr.size - 1)
-    return float(np.sort(arr)[idx])
+    ordered = np.sort(arr)
+    if np.isnan(ordered[-1]):       # the sort puts any NaN last
+        raise ValueError("empirical_quantile requires values without NaN")
+    return float(ordered[idx])
 
 
 def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:

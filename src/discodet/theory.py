@@ -79,7 +79,7 @@ def gamma_h0_logpdf(null: GammaNull, y: np.ndarray) -> np.ndarray:
     -log(scale) for shape = 1; y = +inf gives the limit -inf.
     """
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):       # NaN fails too
         raise ValueError("gamma_h0_logpdf requires y >= 0")
     n, s = null.shape, null.scale
     norm = _log_gamma_int(n) + n * math.log(s)
@@ -106,7 +106,7 @@ def gamma_sf(null: GammaNull, y: np.ndarray) -> np.ndarray:
     """Upper tail P(Y > y) of the Gamma(shape, scale) law at each y >= 0;
     0 where y / scale is +inf."""
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):       # NaN fails too
         raise ValueError("gamma_sf requires y >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         x = arr / null.scale

@@ -127,6 +127,14 @@ class TestThresholdAndClassify:
         with pytest.warns(UserWarning):
             calibrate_threshold(model, null, 0.05, 500, SeedStream(3).child("w"))
 
+    def test_nan_ratio_rejected(self):
+        # a flow whose log-density is NaN must not set a threshold
+        null = GammaNull(5, NOISE)
+        model = build_flow(1, TrainConfig(seed=0))
+        model.theta[0] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            calibrate_threshold(model, null, 0.05, 20_000, SeedStream(3).child("nan"))
+
     def test_negative_input_rejected(self):
         null = GammaNull(5, NOISE)
         det = FittedDetector(build_flow(1, TrainConfig(seed=0)), null, 0.0)

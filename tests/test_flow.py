@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -81,18 +82,17 @@ class TestAutoregressive:
         model.blocks[1].made.out_mask[:] = 1.0
         assert not autoregressive_check(model, np.random.default_rng(2))
 
-    def test_dim1_conditioner_is_constant(self):
-        model = perturbed_model(1)
-        made = model.blocks[0].made
-        mu_a, s_a = made.forward(np.array([[0.3]]))
-        mu_b, s_b = made.forward(np.array([[-5.0]]))
-        assert mu_a == mu_b and s_a == s_b
-
 
 class TestConstantConditioner:
-    """A 1-D block's conditioner has no inputs, so a 1-D flow scores and
-    differentiates without a per-block MADE call; with more dimensions the
+    """A 1-D block's conditioner has no inputs, so a 1-D flow builds no
+    MADE and stores each block as four values; with more dimensions the
     MADE sees every row."""
+
+    def test_dim1_block_is_four_values(self):
+        assert flow.FlowModel.n_params(1, 5, 64) == 20
+        model = perturbed_model(1, n_blocks=5, hidden=64)
+        assert model.theta.shape == (20,)
+        assert not any(hasattr(blk, "made") for blk in model.blocks)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rows_evaluated(self, dim, monkeypatch):
@@ -112,7 +112,7 @@ class TestConstantConditioner:
             assert rows == ([] if dim == 1 else [n] * len(model.blocks))
         rows.clear()
         model.inverse(y)
-        assert rows and set(rows) == {1000}
+        assert set(rows) == (set() if dim == 1 else {1000})
 
 
 def run_path(monkeypatch, path, model, y):
@@ -125,15 +125,17 @@ def run_path(monkeypatch, path, model, y):
 
 
 class TestScalarPath:
-    """The stacked 1-D path against the per-block loop, which evaluates
-    every row's conditioner and so agrees to rounding only."""
+    """The stacked 1-D path against the per-block loop, which broadcasts
+    each block's constants over the rows and so agrees to rounding only.
+    The hidden width sizes no 1-D block."""
 
     @pytest.mark.parametrize("n_blocks", [1, 2, 5])
     @pytest.mark.parametrize("hidden", [64, 8])
     def test_matches_block_loop(self, monkeypatch, hidden, n_blocks):
         model = perturbed_model(1, hidden=hidden, n_blocks=n_blocks, scale=0.3)
+        assert model.theta.size == 4 * n_blocks
         if n_blocks > 1:
-            model.blocks[1].made.b_s[:] = 30.0    # block 1's log-scale clamps
+            model.blocks[1].log_scale[:] = 30.0    # block 1's log-scale clamps
         for n in (1, 17, 256):
             y = np.random.default_rng(n).standard_normal((n, 1)) * 2 + 0.5
             got = run_path(monkeypatch, (flow._forward_1d, flow._backward_1d), model, y)
@@ -149,32 +151,26 @@ CHAIN_KEYS = ("mu", "s", "exp_ms", "a", "b", "ab", "two_b", "dgp_coef")
 def reference_conditioner(stacked):
     """The 1-D conditioners as ``FlowBlock.forward`` computes them, stacked
     over (model, block) axes, with the row chain's values in one array."""
-    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
-    h = np.tanh(b)
-    mu = np.matmul(h[..., None, :], w_mu)[..., 0, 0] + b_mu[..., 0]
-    s_raw = np.matmul(h[..., None, :], w_s)[..., 0, 0] + b_s[..., 0]
+    shift, log_scale, ea_raw, eb_raw = stacked
+    mu = shift[..., 0]
+    s_raw = log_scale[..., 0]
     s = np.clip(s_raw, -flow.LOG_SCALE_CLAMP, flow.LOG_SCALE_CLAMP)
     ta = np.tanh(ea_raw[..., 0])
     slope = flow._softplus(eb_raw[..., 0])
     a = ta / slope
     chain = np.stack([mu, s, np.exp(-s), a, slope, a * slope, 2.0 * slope,
                       -2.0 * a * slope * slope])
-    return {"h": h, "s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
+    return {"s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
 
 
 def reference_adjoint(stacked, g_stacked, cond, dmu, ds, da, db):
     """The conditioners' adjoint as ``FlowBlock.backward`` computes it, one
     parameter at a time on the (model, block)-stacked views."""
-    w, b, w_mu, b_mu, w_s, b_s, ea_raw, eb_raw = stacked
-    g_w, g_b, g_w_mu, g_b_mu, g_w_s, g_b_s, g_ea_raw, g_eb_raw = g_stacked
+    shift, log_scale, ea_raw, eb_raw = stacked
+    g_shift, g_log_scale, g_ea_raw, g_eb_raw = g_stacked
     ds = np.where(np.abs(cond["s_raw"]) < flow.LOG_SCALE_CLAMP, ds, 0.0)
-    g_b_mu[..., 0] += dmu
-    g_b_s[..., 0] += ds
-    h = cond["h"]
-    g_w_mu[..., 0] += h * dmu[..., None]
-    g_w_s[..., 0] += h * ds[..., None]
-    dh = dmu[..., None] * w_mu[..., 0] + ds[..., None] * w_s[..., 0]
-    g_b += dh * (1.0 - h * h)
+    g_shift[..., 0] += dmu
+    g_log_scale[..., 0] += ds
     ta, slope = cond["ta"], cond["b"]
     sig = flow._sigmoid(eb_raw[..., 0])
     g_ea_raw[..., 0] += da * (1.0 - ta * ta) / slope
@@ -219,27 +215,26 @@ class TestRowChain:
 
     @staticmethod
     def stacked(models):
-        """The models' (k, P) gradient rows and their ``_Stacked1d`` and
+        """The models' (k, P) parameter and gradient rows and their
         per-parameter (model, block) views."""
         theta = np.stack([m.theta for m in models])
         grad = np.zeros_like(theta)
-        n_blocks, hidden = len(models[0].blocks), models[0].blocks[0].made.hidden
-        shapes = flow.FlowBlock.param_shapes(1, hidden, True)
-        return (flow._Stacked1d(theta, grad, n_blocks, hidden),
-                flow._views(theta.reshape(len(models), n_blocks, -1), shapes),
+        shapes = flow.FlowBlock.param_shapes(1, 0, True)    # no width sizes a 1-D block
+        n_blocks = len(models[0].blocks)
+        return (theta, flow._views(theta.reshape(len(models), n_blocks, -1), shapes),
                 flow._views(grad.reshape(len(models), n_blocks, -1), shapes), grad)
 
     @pytest.mark.parametrize("sizes", [(1,), (17,), (256,), (17, 9, 17)],
                              ids=["k1-n1", "k1-n17", "k1-n256", "group-and-lone"])
     def test_matches_block_by_block(self, sizes):
-        models = [perturbed_model(1, seed=s, scale=0.3, n_blocks=5, hidden=16)
+        models = [perturbed_model(1, seed=s, scale=0.3, n_blocks=5)
                   for s in range(1, len(sizes) + 1)]
-        models[0].blocks[3].made.b_s[:] = 30.0     # one block's log-scale clamps high
-        models[0].blocks[1].made.b_s[:] = -30.0    # and one low
+        models[0].blocks[3].log_scale[:] = 30.0     # one block's log-scale clamps high
+        models[0].blocks[1].log_scale[:] = -30.0    # and one low
         gen = np.random.default_rng(len(sizes))
         batches = [gen.standard_normal(n) * 2 + 0.5 for n in sizes]
-        st, stacked, _, grad = self.stacked(models)
-        cond = flow._conditioner_1d(st)
+        theta, stacked, _, grad = self.stacked(models)
+        cond = flow._conditioner_1d(flow._blocks_1d(theta))
         ref_cond = reference_conditioner(stacked)
         np.testing.assert_array_equal(cond["chain"], ref_cond["chain"])
         ref_sums = np.stack([reference_row_sums(ref_cond, i, x)
@@ -252,7 +247,7 @@ class TestRowChain:
             z, _, rows = flow._chain_1d(x, c, keep=True)
             sums = flow._chain_backward_1d(rows, cols, z / x.shape[-1], -1.0 / x.shape[-1])
             np.testing.assert_array_equal(sums, ref_sums[..., members])
-        flow._grad_1d(st, batches)
+        flow._grad_1d(theta, grad, batches)
         _, ref_stacked, ref_g_stacked, ref_grad = self.stacked(models)
         reference_adjoint(ref_stacked, ref_g_stacked, ref_cond, *ref_sums.transpose(0, 2, 1))
         np.testing.assert_array_equal(grad, ref_grad)
@@ -375,12 +370,12 @@ class TestTrainMany:
         # each; the models' standardizers are the identity, so the rows are
         # their standardized batches
         models = [perturbed_model(1, seed=s, scale=0.3) for s in (1, 2, 3)]
-        models[1].blocks[2].made.b_s[:] = 30.0     # one block's log-scale clamps
+        models[1].blocks[2].log_scale[:] = 30.0     # one block's log-scale clamps
         gen = np.random.default_rng(7)
         rows = [gen.standard_normal(n) * 2 + 0.5 for n in (17, 9, 17)]
         theta = np.stack([m.theta for m in models])
         grad = np.zeros_like(theta)
-        flow._grad_1d(flow._Stacked1d(theta, grad, 3, 8), rows)
+        flow._grad_1d(theta, grad, rows)
         for model, x, g in zip(models, rows, grad):
             grad_nll(model, x)
             np.testing.assert_array_equal(g, model.grad)
@@ -447,7 +442,7 @@ class TestSerialization:
             load_flow(path)
 
     # byte offsets in a dim-2 file with one hidden layer: magic (8), the
-    # architecture header (13), one hidden width (4), the standardizer (32)
+    # architecture header (13, then the hidden width's 4), the standardizer (32)
     @pytest.mark.parametrize("cut", [12, 8 + 13 + 2, 8 + 13 + 4 + 12, -8],
                              ids=["header", "hidden", "standardizer", "theta"])
     def test_truncated(self, tmp_path, cut):
@@ -470,8 +465,8 @@ class TestSerialization:
         # the header claims a 2**18-wide hidden layer with no parameters
         # behind it: rejected without building the model
         path = tmp_path / "model.flow"
-        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 1, 5, 1, 1, 2**18)
-                         + np.array([0.0, 1.0]).astype("<f8").tobytes())
+        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 2, 5, 1, 0, 2**18)
+                         + np.array([0.0, 0.0, 1.0, 1.0]).astype("<f8").tobytes())
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=re.escape(f"{path}: truncated parameter")):
@@ -481,30 +476,44 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 5e6
 
-    # complete files (as many values as the header asks for) whose header
-    # asks for no dimension, no block, a zero-width layer, two hidden
-    # layers, or an enrichment flag other than the one of a flow of that
-    # dimension
-    @pytest.mark.parametrize("dim,n_blocks,hidden,enrich,match", [
-        (0, 1, (), 1, "zero-dimensional"),
-        (1, 0, (8,), 1, "a flow needs at least one block"),
-        (1, 2, (0,), 1, "the hidden width"),
-        (1, 2, (8,), 7, "enrichment flag must be 1 for a 1-dimensional flow, got 7"),
-        (1, 2, (8, 8), 1, "a flow block has one hidden layer, got 2"),
-        (2, 2, (8,), 1, "enrichment flag must be 0 for a 2-dimensional flow, got 1"),
+    # complete files (as many values as a header of at most one hidden
+    # layer asks for) whose header asks for no dimension, no block, a
+    # zero-width layer, a hidden-layer count or width other than the one
+    # of a flow of that dimension (one layer for dim > 1, none and width 0
+    # for dim 1), or an enrichment flag other than the one of a flow of
+    # that dimension; "dim1-layer" is a default 1-D flow in the layout
+    # where its blocks had a 64-wide hidden layer (1,300 values)
+    @pytest.mark.parametrize("dim,n_blocks,layers,width,enrich,match", [
+        (0, 1, 0, 0, 1, "zero-dimensional"),
+        (1, 0, 0, 0, 1, "a flow needs at least one block"),
+        (2, 2, 1, 0, 0, "the hidden width"),
+        (1, 2, 0, 0, 7, "enrichment flag must be 1 for a 1-dimensional flow, got 7"),
+        (2, 2, 2, 8, 0, "a 2-dimensional flow block has one hidden layer, got 2 of width 8"),
+        (2, 2, 1, 8, 1, "enrichment flag must be 0 for a 2-dimensional flow, got 1"),
+        (1, 5, 1, 64, 1, "a 1-dimensional flow block has no hidden layer, got 1 of width 64"),
+        (1, 2, 0, 8, 1, "a 1-dimensional flow block has no hidden layer, got 0 of width 8"),
     ], ids=["zero-dim", "no-blocks", "zero-width", "enrichment-flag", "two-layers",
-            "dim2-flag1"])
-    def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, hidden, enrich, match):
-        widths = (dim, *hidden)
-        n_layers = sum(w_in * w_out + w_out for w_in, w_out in zip(widths, widths[1:]))
-        n_theta = n_blocks * (n_layers + 2 * (widths[-1] * dim + dim) + 2 * dim * bool(enrich))
+            "dim2-flag1", "dim1-layer", "dim1-width"])
+    def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, layers, width, enrich,
+                                       match):
+        block = ((dim + 1) * width + 2 * (width * dim + dim) + 2 * dim * (enrich == 1)
+                 if layers else 4 * dim)
         path = tmp_path / "model.flow"
-        path.write_bytes(b"DSCFLOW1"
-                         + struct.pack(f"<IIIB{len(hidden)}I", dim, n_blocks, len(hidden), enrich,
-                                       *hidden)
-                         + np.zeros(2 * dim + n_theta).astype("<f8").tobytes())
+        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", dim, n_blocks, layers, enrich, width)
+                         + np.zeros(2 * dim + n_blocks * block).astype("<f8").tobytes())
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + match):
             load_flow(path)
+
+    def test_dim2_file_bytes_unchanged(self, tmp_path):
+        # a dim-2 file is byte for byte what the format wrote when 1-D
+        # blocks still had a hidden layer
+        model = perturbed_model(2)
+        model.mu_std[:] = [1.5, -0.25]
+        model.sigma_std[:] = [2.0, 0.5]
+        path = tmp_path / "model.flow"
+        save_flow(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "0f9a004ecf6a5bb14ca9b662a10f2b447d0b0558368ae5160c629f9f391ee0a3"
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_body_is_theta(self, tmp_path, dim):
@@ -582,7 +591,7 @@ class TestAdam:
 class TestNumerics:
     def test_log_scale_clamp_keeps_finite(self):
         model = perturbed_model(1)
-        model.blocks[0].made.b_s[:] = 50.0     # would overflow without clamping
+        model.blocks[0].log_scale[:] = 50.0     # would overflow without clamping
         out = model.log_prob(np.array([[1e3], [-1e3], [0.0]]))
         assert np.all(np.isfinite(out))
 

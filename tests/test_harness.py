@@ -304,15 +304,17 @@ class TestCli:
         assert re.fullmatch(r"wrote 2 rows to a\.csv \(\d+\.\ds\)\n", a.stdout)
 
     def test_train_writes_default_architecture(self, tmp_path):
-        # the flow the default config builds: dim 1, five blocks, one hidden
-        # layer of width 64, enrichment on
+        # the flow the default config builds: dim 1, five blocks of four
+        # values with no hidden layer (count 0, width 0), enrichment on
         cfgfile = tmp_path / "tiny.cfg"
         cfgfile.write_text(TINY_CONFIG)
         model = tmp_path / "model.flow"
         with pytest.warns(UserWarning):     # tiny n_threshold triggers the warning
             assert cli.main(["train", "--config", str(cfgfile), "--out", str(model)]) == 0
-        header = b"DSCFLOW1" + struct.pack("<IIIBI", 1, 5, 1, 1, 64)
-        assert model.read_bytes()[:len(header)] == header
+        header = b"DSCFLOW1" + struct.pack("<IIIBI", 1, 5, 0, 1, 0)
+        data = model.read_bytes()
+        assert data[:len(header)] == header
+        assert len(data) == len(header) + 8 * (2 + 20)     # the standardizer, then theta
 
     def test_train_then_eval(self, tmp_path):
         cfgfile = tmp_path / "tiny.cfg"

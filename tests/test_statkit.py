@@ -111,6 +111,12 @@ class TestEmpiricalQuantile:
         with pytest.raises(ValueError):
             empirical_quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_nan_rejected(self, q):
+        # unchecked, the sort puts the NaN last and q = 0.5 returns 2.0
+        with pytest.raises(ValueError, match="NaN"):
+            empirical_quantile([1.0, math.nan, 2.0], q)
+
 
 class TestBinomialCI:
     def test_frozen_wilson_values(self):

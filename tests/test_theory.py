@@ -75,6 +75,11 @@ class TestGammaH0Logpdf:
         with pytest.raises(ValueError):
             gamma_h0_logpdf(GammaNull(5, 1.0), np.array([-0.1]))
 
+    @pytest.mark.parametrize("helper", [gamma_h0_logpdf, gamma_sf, gamma_cdf])
+    def test_nan_rejected(self, helper):
+        with pytest.raises(ValueError, match="requires y >= 0"):
+            helper(GammaNull(5, 1.0), np.array([1.0, math.nan]))
+
     @pytest.mark.parametrize("shape", [1, 5])
     def test_infinite_limit(self, shape):
         got = gamma_h0_logpdf(GammaNull(shape, 2.0), np.array([1.0, np.inf]))

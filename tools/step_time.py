@@ -6,13 +6,16 @@ A step is what ``flow.train_many`` does in one round: the batch-NLL
 gradient of every model (``flow._grad_1d``) and one ``flow.adam_step``.
 The script times k = 1 model (``validate``'s surrogate fit) and k = 6
 models (the six fits of a ``sweep-dris`` point) on 256-row batches at the
-default architecture (5 blocks, width 64).  For each k it prints the best
-and the median, over REPEATS repeats, of the mean time of one step over
-CALLS steps.  ``--fit N`` also times N whole ``flow.train`` fits of
-10,000 Gamma statistics over 120 epochs, the size of ``validate``'s
-surrogate fit.  Only numpy and the standard library are
-used; run it on two checkouts (each with its own ``src`` on PYTHONPATH)
-to compare them.
+default architecture: 5 blocks of four values (shift, log-scale and the
+enrichment pair), 20 parameters per model.  For each k it prints the
+parameter count per model and the best and the median, over REPEATS
+repeats, of the mean time of one step over CALLS steps.  ``--fit N``
+also times N whole ``flow.train`` fits of 10,000 Gamma statistics over
+120 epochs, the size of ``validate``'s surrogate fit.  Only numpy and the
+standard library are used; run it on two checkouts (each with its own
+``src`` on PYTHONPATH) to compare them.  A checkout from before 1-D
+blocks became four values needs its own copy of this script, as
+``flow._grad_1d`` took other arguments there.
 """
 
 from __future__ import annotations
@@ -42,14 +45,13 @@ def step_times(k: int) -> list[float]:
     theta += 0.1 * gen.standard_normal(theta.shape)      # away from the identity init
     grad = np.zeros_like(theta)
     state = flow.AdamState(theta)
-    stack = flow._Stacked1d(theta, grad, cfg.n_blocks, cfg.hidden)
     batches = [gen.standard_normal(BATCH_ROWS) for _ in range(k)]
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(CALLS):
             grad[:] = 0.0
-            flow._grad_1d(stack, batches)
+            flow._grad_1d(theta, grad, batches)
             flow.adam_step(theta, grad, state, cfg)
         times.append((time.perf_counter() - start) / CALLS)
     return times
@@ -78,8 +80,11 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.fit < 0:
         parser.error("--fit must be >= 0")
+    cfg = flow.TrainConfig()
+    n_params = flow.FlowModel.n_params(1, cfg.n_blocks, cfg.hidden)
     for k in MODEL_COUNTS:
-        report(f"step k={k} ({BATCH_ROWS} rows)", step_times(k), 1e6, "us")
+        report(f"step k={k} ({BATCH_ROWS} rows, {n_params} parameters per model)",
+               step_times(k), 1e6, "us")
     if args.fit:
         report(f"fit ({FIT_STATISTICS} statistics, {FIT_EPOCHS} epochs)",
                fit_times(args.fit), 1e3, "ms")
