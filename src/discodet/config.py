@@ -77,7 +77,6 @@ _SCHEMA: dict[str, tuple] = {
     "detector.eval_size": (int, 100_000),
     "detector.mixture_h1": (float, 0.5),
     "flow.layers": (int, 5),
-    "flow.hidden": (int, 64),
     "flow.learning_rate": (float, 2e-4),
     "flow.epochs": (int, 200),
     "flow.batch_size": (int, 256),
@@ -122,7 +121,7 @@ class ScenarioConfig:
             raise ConfigError("geometry.bob_inner must be below geometry.bob_outer")
         for key in ("dris.elements_h", "dris.elements_v", "detector.train_size",
                     "detector.eval_size", "detector.n_threshold", "detector.n_samples",
-                    "flow.layers", "flow.hidden", "flow.epochs", "flow.batch_size",
+                    "flow.layers", "flow.epochs", "flow.batch_size",
                     "sjnr.n_symbols"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
@@ -227,7 +226,6 @@ class ScenarioConfig:
             batch_size=self["flow.batch_size"],
             seed=seed,
             n_blocks=self["flow.layers"],
-            hidden=self["flow.hidden"],
         )
 
     def with_overrides(self, **overrides) -> "ScenarioConfig":

@@ -133,38 +133,36 @@ def test_criterion_03_null_exactness():
 
 class TestCriterion04FlowSuite:
     def test_a_gradients(self):
-        # dim 2 runs the per-block path; dim 1 the stacked path, with enrichment
-        cfg = flow.TrainConfig(seed=5, n_blocks=3, hidden=8)
+        cfg = flow.TrainConfig(seed=5, n_blocks=3)
         gen = np.random.default_rng(5)
         worst = 0.0
         ok = True
-        for dim in (2, 1):
-            model = flow.build_flow(dim, cfg)
-            for p in model.parameters():
-                p += 0.2 * gen.standard_normal(p.shape)
-            batch = gen.standard_normal((6, dim))
-            _, grads = flow.grad_nll(model, batch)
-            for p, g in zip(model.parameters(), grads):
-                flat, gflat = p.reshape(-1), g.reshape(-1)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + 1e-5
-                    up = flow.nll(model, batch)
-                    flat[i] = orig - 1e-5
-                    down = flow.nll(model, batch)
-                    flat[i] = orig
-                    fd = (up - down) / 2e-5
-                    err = abs(fd - gflat[i])
-                    worst = max(worst, err)
-                    if err > 1e-7 and err / max(abs(fd), abs(gflat[i])) > 1e-4:
-                        ok = False
-        report("4a", "every gradient coordinate of a dim-2 and a dim-1 flow within "
+        model = flow.build_flow(cfg)
+        for p in model.parameters():
+            p += 0.2 * gen.standard_normal(p.shape)
+        batch = gen.standard_normal((6, 1))
+        _, grads = flow.grad_nll(model, batch)
+        for p, g in zip(model.parameters(), grads):
+            flat, gflat = p.reshape(-1), g.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + 1e-5
+                up = flow.nll(model, batch)
+                flat[i] = orig - 1e-5
+                down = flow.nll(model, batch)
+                flat[i] = orig
+                fd = (up - down) / 2e-5
+                err = abs(fd - gflat[i])
+                worst = max(worst, err)
+                if err > 1e-7 and err / max(abs(fd), abs(gflat[i])) > 1e-4:
+                    ok = False
+        report("4a", "every gradient coordinate of a 1-D flow within "
                      "1e-4 rel / 1e-7 abs of central differences", ok,
                f"worst abs err {worst:.2e}")
 
     def test_b_inversion(self):
         cfg = flow.TrainConfig(seed=6, n_blocks=4)
-        model = flow.build_flow(1, cfg)
+        model = flow.build_flow(cfg)
         gen = np.random.default_rng(6)
         for p in model.parameters():
             p += 0.3 * gen.standard_normal(p.shape)

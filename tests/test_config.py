@@ -32,8 +32,9 @@ class TestParsing:
         assert cfg["flow.epochs"] == 17
 
     def test_unknown_key_names_line(self):
-        # flow.enrichment was a setting once; it is now unknown like any other
-        for key in ("nope.key = 1", "flow.enrichment = on"):
+        # flow.enrichment and flow.hidden were settings once; they are now
+        # unknown like any other
+        for key in ("nope.key = 1", "flow.enrichment = on", "flow.hidden = 64"):
             with pytest.raises(ConfigError, match="2.*unknown key"):
                 parse_config_text(f"\n{key}\n")
 
@@ -82,9 +83,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", ["detector.train_size", "detector.eval_size",
                                      "detector.n_threshold", "detector.n_samples",
-                                     "flow.layers", "flow.hidden", "flow.epochs",
-                                     "flow.batch_size", "flow.learning_rate",
-                                     "sjnr.n_symbols"])
+                                     "flow.layers", "flow.epochs", "flow.batch_size",
+                                     "flow.learning_rate", "sjnr.n_symbols"])
     def test_sizes_must_be_positive(self, key):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = 0")

@@ -7,17 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from discodet import flow
+from discodet import flow, sweeps
 from discodet.flow import (AdamState, TrainConfig, adam_step, build_flow, grad_nll,
                            load_flow, nll, save_flow, standardizer_fit, train)
 from discodet.statkit import SeedStream, sample_gamma
 from discodet.sweeps import autoregressive_check
 
+LOG_SCALE = 1   # the column of a block's (shift, log-scale, ea, eb) values
 
-def perturbed_model(dim, seed=11, scale=0.1, **kwargs):
-    cfg = TrainConfig(seed=seed, n_blocks=kwargs.pop("n_blocks", 3),
-                      hidden=kwargs.pop("hidden", 8), **kwargs)
-    model = build_flow(dim, cfg)
+
+def perturbed_model(seed=11, scale=0.1, n_blocks=3):
+    model = build_flow(TrainConfig(n_blocks=n_blocks))
     gen = np.random.default_rng(seed)
     for p in model.parameters():
         p += scale * gen.standard_normal(p.shape)
@@ -43,154 +43,137 @@ def finite_diff_check(model, batch, step=1e-5, rel_tol=1e-4, abs_tol=1e-7):
 
 class TestStandardizer:
     def test_fit(self):
-        data = np.array([[1.0, 10.0], [3.0, 14.0]])
-        mu, sigma = standardizer_fit(data)
-        np.testing.assert_allclose(mu, [2.0, 12.0])
-        np.testing.assert_allclose(sigma, [1.0, 2.0])
+        mu, sigma = standardizer_fit(np.array([1.0, 3.0]))
+        np.testing.assert_allclose(mu, [2.0])
+        np.testing.assert_allclose(sigma, [1.0])
 
     def test_degenerate(self):
         with pytest.raises(ValueError):
-            standardizer_fit(np.ones((10, 2)))
+            standardizer_fit(np.ones(10))
         with pytest.raises(ValueError):
-            standardizer_fit(np.ones((1, 2)))
+            standardizer_fit(np.ones(1))
 
 
 class TestIdentityInit:
     def test_log_prob_is_standard_normal_at_init(self):
-        model = build_flow(3, TrainConfig(seed=0, n_blocks=4))
-        x = np.random.default_rng(0).standard_normal((32, 3))
-        expected = -0.5 * (x**2).sum(axis=1) - 1.5 * math.log(2 * math.pi)
+        model = build_flow(TrainConfig(n_blocks=4))
+        x = np.random.default_rng(0).standard_normal((32, 1))
+        expected = -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi)
         np.testing.assert_allclose(model.log_prob(x), expected, atol=1e-12)
 
     def test_forward_is_identity_at_init(self):
-        model = build_flow(2, TrainConfig(seed=0))
-        x = np.random.default_rng(1).standard_normal((16, 2))
+        model = build_flow(TrainConfig())
+        x = np.random.default_rng(1).standard_normal((16, 1))
         z, _ = model.forward(x)
         np.testing.assert_allclose(z, x, atol=1e-12)
 
 
 class TestAutoregressive:
-    @pytest.mark.parametrize("dim", [4, 6])
-    def test_masked_conditioner(self, dim):
-        model = perturbed_model(dim)
-        assert autoregressive_check(model, np.random.default_rng(2))
+    """validate's flow_autoregressive check: z(y) increases on sorted probe
+    points and each logdet is log dz/dy."""
 
-    def test_corrupted_mask_fails_check(self):
-        # negative control: removing the strict-inequality output mask must
-        # be caught by the probe
-        model = perturbed_model(4)
-        model.blocks[1].made.out_mask[:] = 1.0
-        assert not autoregressive_check(model, np.random.default_rng(2))
+    @pytest.mark.parametrize("n_blocks,scale", [(1, 0.3), (3, 0.1), (5, 0.3)])
+    def test_perturbed_flows_pass(self, n_blocks, scale):
+        model = perturbed_model(n_blocks=n_blocks, scale=scale)
+        y = np.sort(np.random.default_rng(2).standard_normal(64))[:, None]
+        ok, worst = autoregressive_check(model, y)
+        assert ok and worst < 1e-6
+
+    # negative controls on validate's own probe flow: a logdet without the
+    # enrichment's log g' term (ab = 0 reaches only the logdet), and a
+    # decreasing map, whose logdet is still log|dz/dy|
+    @pytest.mark.parametrize("key,corrupt", [("ab", np.zeros_like), ("exp_ms", np.negative)],
+                             ids=["no-log-gp", "decreasing"])
+    def test_corrupted_flow_fails_check(self, monkeypatch, key, corrupt):
+        def check():
+            found, = [c for c in sweeps._flow_checks(SeedStream(31))
+                      if c.name == "flow_autoregressive"]
+            return found.passed
+
+        assert check()
+        conditioner = flow._conditioner_1d
+
+        def corrupted(params):
+            cond = conditioner(params)
+            values = cond["chain"][CHAIN_KEYS.index(key)]
+            values[...] = corrupt(values)
+            return cond
+        monkeypatch.setattr(flow, "_conditioner_1d", corrupted)
+        assert not check()
 
 
 class TestConstantConditioner:
-    """A 1-D block's conditioner has no inputs, so a 1-D flow builds no
-    MADE and stores each block as four values; with more dimensions the
-    MADE sees every row."""
+    """A block's conditioner has no inputs, so it is stored as constants:
+    a block is four values, a row of the (blocks, 4) view of theta."""
 
     def test_dim1_block_is_four_values(self):
-        assert flow.FlowModel.n_params(1, 5, 64) == 20
-        model = perturbed_model(1, n_blocks=5, hidden=64)
+        assert flow.FlowModel.n_params(5) == 20
+        model = perturbed_model(n_blocks=5)
         assert model.theta.shape == (20,)
-        assert not any(hasattr(blk, "made") for blk in model.blocks)
-
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_rows_evaluated(self, dim, monkeypatch):
-        model = perturbed_model(dim)
-        rows = []
-        forward = flow.MadeNetwork.forward
-
-        def spy(made, y, *args, **kwargs):
-            out = forward(made, y, *args, **kwargs)
-            rows.append(out[0].shape[0])
-            return out
-        monkeypatch.setattr(flow.MadeNetwork, "forward", spy)
-        y = np.random.default_rng(13).standard_normal((1000, dim))
-        for run, n in ((model.log_prob, 1000), (lambda a: grad_nll(model, a[:256]), 256)):
-            rows.clear()
-            run(y)
-            assert rows == ([] if dim == 1 else [n] * len(model.blocks))
-        rows.clear()
-        model.inverse(y)
-        assert set(rows) == (set() if dim == 1 else {1000})
-
-
-def run_path(monkeypatch, path, model, y):
-    """log_prob, the grad_nll loss and the gradient, with ``path`` as the
-    flow's (forward, backward) pair."""
-    monkeypatch.setattr(flow, "_path", lambda _: path)
-    log_prob = model.log_prob(y)
-    loss, _ = grad_nll(model, y)
-    return log_prob, loss, model.grad.copy()
-
-
-class TestScalarPath:
-    """The stacked 1-D path against the per-block loop, which broadcasts
-    each block's constants over the rows and so agrees to rounding only.
-    The hidden width sizes no 1-D block."""
-
-    @pytest.mark.parametrize("n_blocks", [1, 2, 5])
-    @pytest.mark.parametrize("hidden", [64, 8])
-    def test_matches_block_loop(self, monkeypatch, hidden, n_blocks):
-        model = perturbed_model(1, hidden=hidden, n_blocks=n_blocks, scale=0.3)
-        assert model.theta.size == 4 * n_blocks
-        if n_blocks > 1:
-            model.blocks[1].log_scale[:] = 30.0    # block 1's log-scale clamps
-        for n in (1, 17, 256):
-            y = np.random.default_rng(n).standard_normal((n, 1)) * 2 + 0.5
-            got = run_path(monkeypatch, (flow._forward_1d, flow._backward_1d), model, y)
-            ref = run_path(monkeypatch, (flow._forward_blocks, flow._backward_blocks),
-                           model, y)
-            for g, r in zip(got, ref):
-                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
+        assert model.blocks.shape == (5, 4)
+        assert np.shares_memory(model.blocks, model.theta)
 
 
 CHAIN_KEYS = ("mu", "s", "exp_ms", "a", "b", "ab", "two_b", "dgp_coef")
 
 
+def per_parameter(flat):
+    """The (shift, log-scale, ea, eb) views, each shaped (models, blocks),
+    of the models' (k, P) parameter or gradient rows."""
+    return flat.reshape(flat.shape[0], -1, 4).transpose(2, 0, 1)
+
+
 def reference_conditioner(stacked):
-    """The 1-D conditioners as ``FlowBlock.forward`` computes them, stacked
-    over (model, block) axes, with the row chain's values in one array."""
+    """The conditioners computed one parameter at a time, stacked over
+    (model, block) axes, with the row chain's values in one array."""
     shift, log_scale, ea_raw, eb_raw = stacked
-    mu = shift[..., 0]
-    s_raw = log_scale[..., 0]
-    s = np.clip(s_raw, -flow.LOG_SCALE_CLAMP, flow.LOG_SCALE_CLAMP)
-    ta = np.tanh(ea_raw[..., 0])
-    slope = flow._softplus(eb_raw[..., 0])
+    s = np.clip(log_scale, -flow.LOG_SCALE_CLAMP, flow.LOG_SCALE_CLAMP)
+    ta = np.tanh(ea_raw)
+    slope = flow._softplus(eb_raw)
     a = ta / slope
-    chain = np.stack([mu, s, np.exp(-s), a, slope, a * slope, 2.0 * slope,
+    chain = np.stack([shift, s, np.exp(-s), a, slope, a * slope, 2.0 * slope,
                       -2.0 * a * slope * slope])
-    return {"s_raw": s_raw, "ta": ta, "b": slope, "chain": chain}
+    return {"s_raw": log_scale, "ta": ta, "b": slope, "chain": chain}
 
 
 def reference_adjoint(stacked, g_stacked, cond, dmu, ds, da, db):
-    """The conditioners' adjoint as ``FlowBlock.backward`` computes it, one
-    parameter at a time on the (model, block)-stacked views."""
+    """The conditioners' adjoint, one parameter at a time on the
+    (model, block)-stacked views."""
     shift, log_scale, ea_raw, eb_raw = stacked
     g_shift, g_log_scale, g_ea_raw, g_eb_raw = g_stacked
     ds = np.where(np.abs(cond["s_raw"]) < flow.LOG_SCALE_CLAMP, ds, 0.0)
-    g_shift[..., 0] += dmu
-    g_log_scale[..., 0] += ds
+    g_shift += dmu
+    g_log_scale += ds
     ta, slope = cond["ta"], cond["b"]
-    sig = flow._sigmoid(eb_raw[..., 0])
-    g_ea_raw[..., 0] += da * (1.0 - ta * ta) / slope
-    g_eb_raw[..., 0] += db * sig + da * (-ta / (slope * slope)) * sig
+    sig = flow._sigmoid(eb_raw)
+    g_ea_raw += da * (1.0 - ta * ta) / slope
+    g_eb_raw += db * sig + da * (-ta / (slope * slope)) * sig
 
 
-def reference_row_sums(cond, model, x):
-    """One model's (dmu, ds, da, db) row sums, shaped (4, blocks), from
-    ``FlowBlock.forward``/``backward``'s row operations run one block at a
-    time on Python-float block values."""
+def reference_forward(cond, model, x):
+    """One model's blocks run one at a time on Python-float block values:
+    z, the blocks' summed logdet and each block's (u, t, gp, 1 - t*t)."""
     c = dict(zip(CHAIN_KEYS, cond["chain"][:, model].tolist()))
-    n_blocks, n = len(c["mu"]), x.shape[0]
+    logdet = 0.0
     rows = []
-    for k in range(n_blocks):
+    for k in range(len(c["mu"])):
         u = (x - c["mu"][k]) * c["exp_ms"][k]
         t = np.tanh(c["b"][k] * u)
         x = u + c["a"][k] * t
         one_mt2 = 1.0 - t * t
-        rows.append((u, t, 1.0 + c["ab"][k] * one_mt2, one_mt2))
-    dz, c_logdet = x / n, -1.0 / n
+        gp = 1.0 + c["ab"][k] * one_mt2
+        logdet = logdet + (np.log(gp) - c["s"][k])
+        rows.append((u, t, gp, one_mt2))
+    return x, logdet, rows
+
+
+def reference_row_sums(cond, model, x):
+    """One model's (dmu, ds, da, db) row sums of the batch NLL, shaped
+    (4, blocks), from ``reference_forward``'s rows, one block at a time."""
+    c = dict(zip(CHAIN_KEYS, cond["chain"][:, model].tolist()))
+    z, _, rows = reference_forward(cond, model, x)
+    n_blocks, n = len(rows), x.shape[0]
+    dz, c_logdet = z / n, -1.0 / n
     sums = np.empty((4, n_blocks))
     for k in reversed(range(n_blocks)):
         u, t, gp, one_mt2 = rows[k]
@@ -206,36 +189,56 @@ def reference_row_sums(cond, model, x):
     return sums
 
 
+class TestScalarPath:
+    """log_prob, the grad_nll loss and its gradient against the
+    block-by-block reference, through a standardizer that is not the
+    identity, with one block's log-scale clamped high and one low.  The
+    reference sums the logdet in another order, so they agree to rounding."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 5])
+    @pytest.mark.parametrize("n", [64, 8])
+    def test_matches_block_loop(self, n, n_blocks):
+        model = perturbed_model(n_blocks=n_blocks, scale=0.3)
+        model.mu_std[:] = 0.5
+        model.sigma_std[:] = 2.0
+        if n_blocks > 1:
+            model.blocks[-1, LOG_SCALE] = 30.0
+            model.blocks[0, LOG_SCALE] = -30.0
+        theta = model.theta[None]
+        cond = reference_conditioner(per_parameter(theta))
+        y = np.random.default_rng(n).standard_normal((n, 1)) * 2 + 0.5
+        x = (y[:, 0] - 0.5) / 2.0
+        z, logdet, _ = reference_forward(cond, 0, x)
+        log_prob = -0.5 * z * z - 0.5 * math.log(2 * math.pi) - math.log(2.0) + logdet
+        np.testing.assert_allclose(model.log_prob(y), log_prob, rtol=1e-12, atol=1e-14)
+        loss, _ = grad_nll(model, y)
+        assert loss == pytest.approx(-log_prob.mean(), rel=1e-12, abs=1e-14)
+        grad = np.zeros_like(theta)
+        reference_adjoint(per_parameter(theta), per_parameter(grad), cond,
+                          *reference_row_sums(cond, 0, x)[:, None])
+        np.testing.assert_allclose(model.grad, grad[0], rtol=1e-12, atol=1e-14)
+
+
 class TestRowChain:
-    """The 1-D row chain, which runs only its recurrences block by block,
-    and the conditioners' fused adjoint, against the same formulas run one
+    """The row chain, which runs only its recurrences block by block, and
+    the conditioners' fused adjoint, against the same formulas run one
     block and one parameter at a time: every row sum and the gradient
     agree bit for bit, for one model, a row group of two and a lone model
     beside it."""
 
-    @staticmethod
-    def stacked(models):
-        """The models' (k, P) parameter and gradient rows and their
-        per-parameter (model, block) views."""
-        theta = np.stack([m.theta for m in models])
-        grad = np.zeros_like(theta)
-        shapes = flow.FlowBlock.param_shapes(1, 0, True)    # no width sizes a 1-D block
-        n_blocks = len(models[0].blocks)
-        return (theta, flow._views(theta.reshape(len(models), n_blocks, -1), shapes),
-                flow._views(grad.reshape(len(models), n_blocks, -1), shapes), grad)
-
     @pytest.mark.parametrize("sizes", [(1,), (17,), (256,), (17, 9, 17)],
                              ids=["k1-n1", "k1-n17", "k1-n256", "group-and-lone"])
     def test_matches_block_by_block(self, sizes):
-        models = [perturbed_model(1, seed=s, scale=0.3, n_blocks=5)
+        models = [perturbed_model(seed=s, scale=0.3, n_blocks=5)
                   for s in range(1, len(sizes) + 1)]
-        models[0].blocks[3].log_scale[:] = 30.0     # one block's log-scale clamps high
-        models[0].blocks[1].log_scale[:] = -30.0    # and one low
+        models[0].blocks[3, LOG_SCALE] = 30.0     # one block's log-scale clamps high
+        models[0].blocks[1, LOG_SCALE] = -30.0    # and one low
         gen = np.random.default_rng(len(sizes))
         batches = [gen.standard_normal(n) * 2 + 0.5 for n in sizes]
-        theta, stacked, _, grad = self.stacked(models)
+        theta = np.stack([m.theta for m in models])
+        grad = np.zeros_like(theta)
         cond = flow._conditioner_1d(flow._blocks_1d(theta))
-        ref_cond = reference_conditioner(stacked)
+        ref_cond = reference_conditioner(per_parameter(theta))
         np.testing.assert_array_equal(cond["chain"], ref_cond["chain"])
         ref_sums = np.stack([reference_row_sums(ref_cond, i, x)
                              for i, x in enumerate(batches)], axis=-1)
@@ -248,37 +251,33 @@ class TestRowChain:
             sums = flow._chain_backward_1d(rows, cols, z / x.shape[-1], -1.0 / x.shape[-1])
             np.testing.assert_array_equal(sums, ref_sums[..., members])
         flow._grad_1d(theta, grad, batches)
-        _, ref_stacked, ref_g_stacked, ref_grad = self.stacked(models)
-        reference_adjoint(ref_stacked, ref_g_stacked, ref_cond, *ref_sums.transpose(0, 2, 1))
+        ref_grad = np.zeros_like(theta)
+        reference_adjoint(per_parameter(theta), per_parameter(ref_grad), ref_cond,
+                          *ref_sums.transpose(0, 2, 1))
         np.testing.assert_array_equal(grad, ref_grad)
 
 
 class TestGradients:
-    def test_multidim_no_enrichment(self):
-        model = perturbed_model(3)
-        batch = np.random.default_rng(3).standard_normal((6, 3))
-        finite_diff_check(model, batch)
-
     def test_dim1_with_enrichment(self):
-        model = perturbed_model(1, scale=0.3)
+        model = perturbed_model(scale=0.3)
         batch = np.random.default_rng(4).standard_normal((8, 1))
         finite_diff_check(model, batch)
 
 
 class TestInversion:
-    @pytest.mark.parametrize("dim,enriched", [(1, True), (4, False)])
-    def test_roundtrip(self, dim, enriched):
-        model = perturbed_model(dim, scale=0.3)
-        assert all(blk.enrich == enriched for blk in model.blocks)
-        model.mu_std[:] = 1.5
-        model.sigma_std[:] = 2.0
-        y = np.random.default_rng(6).standard_normal((64, dim)) * 2 + 1
+    @pytest.mark.parametrize("n_blocks,standardize", [(1, True), (4, False)])
+    def test_roundtrip(self, n_blocks, standardize):
+        model = perturbed_model(scale=0.3, n_blocks=n_blocks)
+        if standardize:
+            model.mu_std[:] = 1.5
+            model.sigma_std[:] = 2.0
+        y = np.random.default_rng(6).standard_normal((64, 1)) * 2 + 1
         z, _ = model.forward(y)
         np.testing.assert_allclose(model.inverse(z), y, atol=1e-9)
 
     def test_logdet_consistency(self):
         # numerical Jacobian of the 1-D transform must match the reported logdet
-        model = perturbed_model(1, scale=0.3)
+        model = perturbed_model(scale=0.3)
         y = np.array([[0.7]])
         _, logdet = model.forward(y)
         h = 1e-6
@@ -320,14 +319,13 @@ class TestTraining:
     # unchecked, a negative batch size leaves the batch loop empty and train
     # returns the untrained init without an error, and so does a NaN
     # learning rate (its hold-out NLL never beats the first); n_blocks = -1
-    # fails inside numpy, and hidden = 0 builds a zero-width network
+    # fails inside numpy
     @pytest.mark.parametrize("kwargs,match", [
         ({"batch_size": 0}, "batch size"), ({"batch_size": -5}, "batch size"),
         ({"n_blocks": 0}, "block"), ({"n_blocks": -1}, "block"),
-        ({"hidden": 0}, "hidden"),
         ({"learning_rate": math.nan}, "learning rate"),
     ], ids=["batch_size=0", "batch_size=-5", "n_blocks=0", "n_blocks=-1",
-            "hidden=0", "learning_rate=nan"])
+            "learning_rate=nan"])
     def test_sizes_must_be_positive(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kwargs)
@@ -337,9 +335,9 @@ def ragged_sets():
     """Datasets and configs for one lockstep run, in an input order that is
     not their step-count order: a single-batch set (135 training rows), a
     ragged last batch (900 rows: 3 x 256 + 132), an exact multiple of the
-    batch size (512 rows), a heavy-tailed set whose steps clip, a dim-2 set
-    that trains alone, a set of the ragged one's size with another seed and
-    epoch count, and one with another learning rate, which trains apart."""
+    batch size (512 rows), a heavy-tailed set whose steps clip, a set of
+    the ragged one's size with another seed and epoch count, and one with
+    another learning rate, which trains apart."""
     gen = SeedStream(17).child("ragged")
     fast = {"learning_rate": 0.05}     # moves the flows far enough to clip some steps
     return [
@@ -347,7 +345,6 @@ def ragged_sets():
         (sample_gamma(gen, 5, 1.0, 1000), TrainConfig(seed=2, epochs=3, **fast)),
         (gen.standard_normal(569) + 3.0, TrainConfig(seed=3, epochs=3, **fast)),
         (np.exp(2.0 * gen.standard_normal(600)), TrainConfig(seed=4, epochs=3, **fast)),
-        (gen.standard_normal((300, 2)), TrainConfig(seed=5, epochs=2, n_blocks=2, hidden=8)),
         (sample_gamma(gen, 5, 2.0, 1000), TrainConfig(seed=6, epochs=5, **fast)),
         (sample_gamma(gen, 5, 2.0, 1000), TrainConfig(seed=7, epochs=2)),
     ]
@@ -369,8 +366,8 @@ class TestTrainMany:
         # alone, equals grad_nll's (checked against finite differences) for
         # each; the models' standardizers are the identity, so the rows are
         # their standardized batches
-        models = [perturbed_model(1, seed=s, scale=0.3) for s in (1, 2, 3)]
-        models[1].blocks[2].log_scale[:] = 30.0     # one block's log-scale clamps
+        models = [perturbed_model(seed=s, scale=0.3) for s in (1, 2, 3)]
+        models[1].blocks[2, LOG_SCALE] = 30.0     # one block's log-scale clamps
         gen = np.random.default_rng(7)
         rows = [gen.standard_normal(n) * 2 + 0.5 for n in (17, 9, 17)]
         theta = np.stack([m.theta for m in models])
@@ -396,9 +393,10 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("bad,message", [
         (np.array([1.0, 2.0]), "not enough training samples (2)"),
-        (np.ones((40, 1, 1)), "expected (n,) or (n, d) data, got shape (40, 1, 1)"),
+        (np.ones((40, 1, 1)), "expected (n,) or (n, 1) data, got shape (40, 1, 1)"),
+        (np.ones((40, 2)), "expected (n,) or (n, 1) data, got shape (40, 2)"),
         (np.ones(40), "degenerate data"),
-    ], ids=["too-few", "shape", "degenerate"])
+    ], ids=["too-few", "shape", "columns", "degenerate"])
     def test_bad_dataset_raises_before_training(self, monkeypatch, bad, message):
         built = []
         build = flow.build_flow
@@ -418,7 +416,7 @@ class TestTrainMany:
 
 class TestSerialization:
     def test_bit_identical_roundtrip(self, tmp_path):
-        model = perturbed_model(1)
+        model = perturbed_model()
         model.mu_std[:] = 4.2
         model.sigma_std[:] = 0.7
         path = tmp_path / "model.flow"
@@ -427,26 +425,19 @@ class TestSerialization:
         y = np.random.default_rng(9).standard_normal((100, 1))
         np.testing.assert_array_equal(loaded.log_prob(y), model.log_prob(y))
 
-    def test_multidim_roundtrip(self, tmp_path):
-        model = perturbed_model(4, hidden=6)
-        path = tmp_path / "model.flow"
-        save_flow(model, path)
-        loaded = load_flow(path)
-        y = np.random.default_rng(9).standard_normal((10, 4))
-        np.testing.assert_array_equal(loaded.log_prob(y), model.log_prob(y))
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"NOTAFLOW" + b"\0" * 40)
         with pytest.raises(ValueError):
             load_flow(path)
 
-    # byte offsets in a dim-2 file with one hidden layer: magic (8), the
-    # architecture header (13, then the hidden width's 4), the standardizer (32)
-    @pytest.mark.parametrize("cut", [12, 8 + 13 + 2, 8 + 13 + 4 + 12, -8],
+    # byte offsets in a file: magic (8), the architecture header (17; its
+    # last 4 bytes, where "hidden" cuts, are the layer width), the
+    # standardizer (16)
+    @pytest.mark.parametrize("cut", [12, 8 + 13 + 2, 8 + 17 + 12, -8],
                              ids=["header", "hidden", "standardizer", "theta"])
     def test_truncated(self, tmp_path, cut):
-        model = perturbed_model(2)
+        model = perturbed_model()
         path = tmp_path / "model.flow"
         save_flow(model, path)
         path.write_bytes(path.read_bytes()[:cut])
@@ -454,7 +445,7 @@ class TestSerialization:
             load_flow(path)
 
     def test_trailing_bytes(self, tmp_path):
-        model = perturbed_model(2)
+        model = perturbed_model()
         path = tmp_path / "model.flow"
         save_flow(model, path)
         path.write_bytes(path.read_bytes() + b"\0")
@@ -462,11 +453,11 @@ class TestSerialization:
             load_flow(path)
 
     def test_header_checked_before_allocation(self, tmp_path):
-        # the header claims a 2**18-wide hidden layer with no parameters
-        # behind it: rejected without building the model
+        # the header claims 2**28 blocks with no parameters behind them:
+        # rejected without building the model
         path = tmp_path / "model.flow"
-        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 2, 5, 1, 0, 2**18)
-                         + np.array([0.0, 0.0, 1.0, 1.0]).astype("<f8").tobytes())
+        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 1, 2**28, 0, 1, 0)
+                         + np.array([0.0, 1.0]).astype("<f8").tobytes())
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=re.escape(f"{path}: truncated parameter")):
@@ -476,22 +467,20 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 5e6
 
-    # complete files (as many values as a header of at most one hidden
-    # layer asks for) whose header asks for no dimension, no block, a
-    # zero-width layer, a hidden-layer count or width other than the one
-    # of a flow of that dimension (one layer for dim > 1, none and width 0
-    # for dim 1), or an enrichment flag other than the one of a flow of
-    # that dimension; "dim1-layer" is a default 1-D flow in the layout
-    # where its blocks had a 64-wide hidden layer (1,300 values)
+    # complete files (as many values as a header of at most one network
+    # layer per block asks for) whose header asks for another dimension
+    # than 1, no block, a network layer, or no enrichment; "dim1-layer" is
+    # a default 1-D flow in the layout where its blocks had a 64-wide
+    # layer (1,300 values)
     @pytest.mark.parametrize("dim,n_blocks,layers,width,enrich,match", [
-        (0, 1, 0, 0, 1, "zero-dimensional"),
+        (0, 1, 0, 0, 1, "a 0-dimensional flow"),
         (1, 0, 0, 0, 1, "a flow needs at least one block"),
-        (2, 2, 1, 0, 0, "the hidden width"),
+        (1, 2, 1, 0, 1, "a 1-dimensional flow block has no network layer, got 1 of width 0"),
         (1, 2, 0, 0, 7, "enrichment flag must be 1 for a 1-dimensional flow, got 7"),
-        (2, 2, 2, 8, 0, "a 2-dimensional flow block has one hidden layer, got 2 of width 8"),
-        (2, 2, 1, 8, 1, "enrichment flag must be 0 for a 2-dimensional flow, got 1"),
-        (1, 5, 1, 64, 1, "a 1-dimensional flow block has no hidden layer, got 1 of width 64"),
-        (1, 2, 0, 8, 1, "a 1-dimensional flow block has no hidden layer, got 0 of width 8"),
+        (1, 2, 2, 8, 1, "a 1-dimensional flow block has no network layer, got 2 of width 8"),
+        (2, 2, 1, 8, 1, "a 2-dimensional flow"),
+        (1, 5, 1, 64, 1, "a 1-dimensional flow block has no network layer, got 1 of width 64"),
+        (1, 2, 0, 8, 1, "a 1-dimensional flow block has no network layer, got 0 of width 8"),
     ], ids=["zero-dim", "no-blocks", "zero-width", "enrichment-flag", "two-layers",
             "dim2-flag1", "dim1-layer", "dim1-width"])
     def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, layers, width, enrich,
@@ -504,30 +493,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + match):
             load_flow(path)
 
-    def test_dim2_file_bytes_unchanged(self, tmp_path):
-        # a dim-2 file is byte for byte what the format wrote when 1-D
-        # blocks still had a hidden layer
-        model = perturbed_model(2)
-        model.mu_std[:] = [1.5, -0.25]
-        model.sigma_std[:] = [2.0, 0.5]
+    def test_file_bytes_unchanged(self, tmp_path):
+        # a file is byte for byte what the format wrote when the flow still
+        # had a multi-dimensional architecture beside the 1-D one
+        model = perturbed_model(seed=11)
+        model.mu_std[:] = 1.5
+        model.sigma_std[:] = 0.5
         path = tmp_path / "model.flow"
         save_flow(model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "0f9a004ecf6a5bb14ca9b662a10f2b447d0b0558368ae5160c629f9f391ee0a3"
+            "8797dfe57430595470816e73818328cb3b79e84ecc8f905164245323b69528c1"
 
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_body_is_theta(self, tmp_path, dim):
-        model = perturbed_model(dim)
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    def test_body_is_theta(self, tmp_path, n_blocks):
+        model = perturbed_model(n_blocks=n_blocks)
         path = tmp_path / "model.flow"
         save_flow(model, path)
-        header = len(b"DSCFLOW1") + 13 + 4 + 2 * 8 * dim
+        header = len(b"DSCFLOW1") + 17 + 2 * 8
         assert path.read_bytes()[header:] == model.theta.astype("<f8").tobytes()
 
 
 class TestFlatParameters:
     @pytest.fixture(params=["built", "loaded"])
     def model(self, request, tmp_path):
-        model = perturbed_model(2)
+        model = perturbed_model()
         if request.param == "loaded":
             save_flow(model, tmp_path / "model.flow")
             model = load_flow(tmp_path / "model.flow")
@@ -540,7 +529,7 @@ class TestFlatParameters:
         assert all(np.shares_memory(p, model.theta) for p in params)
 
     def test_gradients_are_views_of_grad(self, model):
-        _, grads = grad_nll(model, np.random.default_rng(3).standard_normal((6, 2)))
+        _, grads = grad_nll(model, np.random.default_rng(3).standard_normal((6, 1)))
         assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
         np.testing.assert_array_equal(
             model.grad, np.concatenate([g.reshape(-1) for g in grads]))
@@ -564,7 +553,7 @@ def reference_adam(params, grads, m, v, t, lr):
 
 class TestAdam:
     def test_matches_per_array_reference(self):
-        model = perturbed_model(1)
+        model = perturbed_model()
         config = TrainConfig(learning_rate=1e-3)
         ref = [p.copy() for p in model.parameters()]
         m = [np.zeros_like(p) for p in ref]
@@ -590,20 +579,20 @@ class TestAdam:
 
 class TestNumerics:
     def test_log_scale_clamp_keeps_finite(self):
-        model = perturbed_model(1)
-        model.blocks[0].log_scale[:] = 50.0     # would overflow without clamping
+        model = perturbed_model()
+        model.blocks[0, LOG_SCALE] = 50.0     # would overflow without clamping
         out = model.log_prob(np.array([[1e3], [-1e3], [0.0]]))
         assert np.all(np.isfinite(out))
 
     def test_nll_empty_batch(self):
-        model = build_flow(1, TrainConfig(seed=0))
+        model = build_flow(TrainConfig())
         with pytest.raises(ValueError):
             nll(model, np.empty((0, 1)))
 
     def test_log_prob_keeps_no_block_cache(self):
         # scoring holds one block's temporaries at a time (about nine arrays
         # of the rows at the peak), not a stacked (blocks, rows) cache
-        model = perturbed_model(1, n_blocks=5, hidden=64)
+        model = perturbed_model(n_blocks=5)
         y = np.random.default_rng(3).standard_normal((100_000, 1))
         tracemalloc.start()
         try:
@@ -614,7 +603,7 @@ class TestNumerics:
         assert peak < 12 * y.nbytes
 
     def test_width_mismatch_rejected(self):
-        # one statistic per row must not broadcast across four dimensions
-        model = perturbed_model(4)
-        with pytest.raises(ValueError, match="4-dimensional"):
-            model.log_prob(np.ones((10, 1)))
+        # four statistics per row must not broadcast through a 1-D flow
+        model = perturbed_model()
+        with pytest.raises(ValueError, match=re.escape("got shape (10, 4)")):
+            model.log_prob(np.ones((10, 4)))

@@ -168,8 +168,9 @@ class TestValidationSuite:
                 "surrogate_np_oracle"} <= names
 
     def test_gradient_check_rejects_a_wrong_gradient(self, monkeypatch):
-        model = flow.build_flow(2, flow.TrainConfig(seed=3, n_blocks=2, hidden=8))
-        batch = SeedStream(4).child("grad").standard_normal((6, 2))
+        model = flow.build_flow(flow.TrainConfig(n_blocks=2))
+        model.theta += 0.2 * SeedStream(3).child("theta").standard_normal(model.theta.size)
+        batch = SeedStream(4).child("grad").standard_normal((6, 1))
         assert sweeps._gradient_check(model, batch)[0]
         grad_nll = flow.grad_nll
 
@@ -261,7 +262,7 @@ class TestCli:
         assert "dris profile" in res.stderr
 
     @pytest.mark.parametrize("line", ["flow.batch_size = 0", "detector.mixture_h1 = 1.5",
-                                      "flow.layers = 0", "flow.hidden = -1"])
+                                      "flow.layers = 0"])
     def test_bad_training_setting_exits_2(self, tmp_path, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -333,7 +334,10 @@ class TestCli:
         cfgfile = tmp_path / "tiny.cfg"
         cfgfile.write_text(TINY_CONFIG)
         model = tmp_path / "dim2.flow"
-        flow.save_flow(flow.build_flow(2, flow.TrainConfig(seed=0)), model)
+        # the header and standardizer of a two-dimensional flow with one
+        # 8-wide network layer per block; its body is never read
+        model.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 2, 2, 1, 0, 8)
+                          + np.zeros(4).astype("<f8").tobytes())
         res = run_cli(["eval", "--config", str(cfgfile), "--model", str(model)], tmp_path)
         assert res.returncode == 1
         assert "error:" in res.stderr and "2-dimensional" in res.stderr

@@ -1,0 +1,28 @@
+"""The scripts in tools/ run against the current package."""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_step_time_reports_default_architecture(monkeypatch, capsys):
+    step_time = load_tool("step_time")
+    monkeypatch.setattr(step_time, "REPEATS", 1)
+    monkeypatch.setattr(step_time, "CALLS", 2)
+    assert step_time.main([]) == 0
+    out = capsys.readouterr().out
+    assert out.count("20 parameters per model") == len(step_time.MODEL_COUNTS)
+
+
+def test_golden_outputs_needs_an_output_directory(capsys):
+    golden_outputs = load_tool("golden_outputs")
+    assert golden_outputs.main([]) == 2
+    assert "tools/golden_outputs.py OUTDIR" in capsys.readouterr().err

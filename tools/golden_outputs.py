@@ -18,10 +18,10 @@ its own fixed Monte-Carlo sizes and takes only the scenario, the
 detector settings and the root seed from it, so ``validate.txt`` is the
 report of the suite at full size.
 
-``detector.flow`` is a 1-D flow, so its layout changed when 1-D blocks
-dropped their hidden layer: from hidden-layer count 1, width 64 and 1,300
-values to count 0, width 0 and 20 values (four per block).  Compare it
-with a file from before that change by its live values, not by bytes.
+``detector.flow`` is the default flow: after the 17-byte header and the
+standardizer come its 20 values, four per block.  A checkout whose 1-D
+blocks still carried a network layer wrote 1,300 values there; compare
+such a file by its live values, not by bytes.
 """
 
 from __future__ import annotations

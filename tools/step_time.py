@@ -13,9 +13,9 @@ repeats, of the mean time of one step over CALLS steps.  ``--fit N``
 also times N whole ``flow.train`` fits of 10,000 Gamma statistics over
 120 epochs, the size of ``validate``'s surrogate fit.  Only numpy and the
 standard library are used; run it on two checkouts (each with its own
-``src`` on PYTHONPATH) to compare them.  A checkout from before 1-D
-blocks became four values needs its own copy of this script, as
-``flow._grad_1d`` took other arguments there.
+``src`` on PYTHONPATH) to compare them.  A checkout from before the flow
+became one-dimensional only needs its own copy of this script, as
+``flow.FlowModel.n_params`` took the dimension there.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def step_times(k: int) -> list[float]:
     """Mean seconds per training step of ``k`` models, once per repeat."""
     cfg = flow.TrainConfig()
     gen = np.random.default_rng(k)
-    theta = np.stack([flow.build_flow(1, flow.TrainConfig(seed=i)).theta for i in range(k)])
+    theta = np.zeros((k, flow.FlowModel.n_params(cfg.n_blocks)))   # the identity init
     theta += 0.1 * gen.standard_normal(theta.shape)      # away from the identity init
     grad = np.zeros_like(theta)
     state = flow.AdamState(theta)
@@ -81,7 +81,7 @@ def main(argv: list[str]) -> int:
     if args.fit < 0:
         parser.error("--fit must be >= 0")
     cfg = flow.TrainConfig()
-    n_params = flow.FlowModel.n_params(1, cfg.n_blocks, cfg.hidden)
+    n_params = flow.FlowModel.n_params(cfg.n_blocks)
     for k in MODEL_COUNTS:
         report(f"step k={k} ({BATCH_ROWS} rows, {n_params} parameters per model)",
                step_times(k), 1e6, "us")
