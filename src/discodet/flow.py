@@ -22,9 +22,10 @@ rows) buffer, and its backward pass computes every other row term once
 for all blocks.  Scoring holds one block's temporaries at a time.  Each
 elementwise operation keeps its operands and their association, so the
 results are bit-identical to running the block formulas one block at a
-time.  ``train_many`` uses the model axis to train many flows in
-lockstep, one Adam step each per round, with results bit-identical to
-training each alone.
+time.  There is one gradient path, ``_grad_1d``: ``train_many`` uses its
+model axis to train many flows in lockstep, one Adam step each per
+round, with results bit-identical to training each alone, and
+``grad_nll`` is its one-model case.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "FlowModel",
     "AdamState",
     "standardizer_fit",
-    "build_flow",
     "nll",
     "grad_nll",
     "adam_step",
@@ -131,10 +131,11 @@ class FlowModel:
     """Standardizer plus a stack of monotone blocks over a standard normal
     base; supports exact log-density, inversion, and gradients."""
 
-    def __init__(self, n_blocks: int, mu_std, sigma_std, storage=None):
+    def __init__(self, n_blocks: int, mu_std=0.0, sigma_std=1.0, storage=None):
         """``storage`` is a (theta, grad) pair of zeroed vectors of
         ``n_params`` values for the model to live in; by default it gets
-        its own.  Zero parameters make every block the identity map."""
+        its own.  Zero parameters make every block the identity map, and
+        the default standardizer makes the whole flow the identity."""
         if storage is None:
             storage = np.zeros((2, self.n_params(n_blocks)))
         self.theta, self.grad = storage
@@ -146,10 +147,6 @@ class FlowModel:
     def n_params(n_blocks: int) -> int:
         """The length of ``theta``: four values per block."""
         return 4 * n_blocks
-
-    def parameters(self) -> list[np.ndarray]:
-        """Every block's four values in order, as views into ``theta``."""
-        return list(self.blocks)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -163,7 +160,10 @@ class FlowModel:
     def forward(self, y):
         """Map data to latent; returns (z, per-sample logdet).  No block
         cache outlives its block."""
-        return _forward_1d(self, y, keep=False)[:2]
+        x, logdet = self._standardize(y)
+        c, _ = _block_values(_conditioner_1d(self.blocks[None]), 0)
+        z, logdet, _ = _chain_1d(x[:, 0], c, logdet)
+        return z[:, None], logdet
 
     def log_prob(self, y) -> np.ndarray:
         z, logdet = self.forward(y)
@@ -180,12 +180,6 @@ class FlowModel:
         return x * self.sigma_std + self.mu_std
 
 
-def build_flow(config: TrainConfig, mu_std=0.0, sigma_std=1.0, storage=None) -> FlowModel:
-    """Construct an identity-initialized flow of ``config.n_blocks`` blocks
-    (in ``storage``, if given: see ``FlowModel``)."""
-    return FlowModel(config.n_blocks, mu_std, sigma_std, storage)
-
-
 def _base_log_prob(z: np.ndarray) -> np.ndarray:
     """The standard normal log-density of the (n, 1) latents ``z``."""
     return -0.5 * (z * z).sum(axis=1) - 0.5 * math.log(2 * math.pi)
@@ -199,21 +193,16 @@ def nll(model: FlowModel, batch) -> float:
     return float(-model.log_prob(arr).mean())
 
 
-def grad_nll(model: FlowModel, batch) -> tuple[float, list[np.ndarray]]:
-    """Exact reverse-mode gradient of the batch NLL for every parameter.
-
-    The gradient is written to ``model.grad``; the returned list holds its
-    views shaped like ``parameters()``, overwritten by the next call."""
-    arr = _as_column(batch)
-    n = arr.shape[0]
-    if n == 0:
+def grad_nll(model: FlowModel, batch) -> float:
+    """The batch NLL; its exact reverse-mode gradient overwrites
+    ``model.grad``.  The gradient is the training step's, ``_grad_1d``,
+    on one model."""
+    x, _ = model._standardize(batch)
+    if x.shape[0] == 0:
         raise ValueError("grad_nll requires a non-empty batch")
     model.grad[:] = 0.0
-    z, logdet, cache = _forward_1d(model, arr, keep=True)
-    loss = float(-(_base_log_prob(z) + logdet).mean())
-    # d(-mean(base))/dz, and the coefficient of each sample's logdet
-    _backward_1d(model, cache, z / n, -1.0 / n)
-    return loss, list(model.grad.reshape(model.blocks.shape))
+    _grad_1d(model.theta[None], model.grad[None], [x[:, 0]])
+    return nll(model, batch)
 
 
 def _blocks_1d(flat: np.ndarray) -> np.ndarray:
@@ -270,15 +259,16 @@ def _block_values(cond: dict, models) -> tuple[dict, dict]:
     return dict(zip(_CHAIN_KEYS, per_block)), dict(zip(_CHAIN_KEYS, columns))
 
 
-def _chain_1d(x, c: dict, logdet=None, keep: bool = False):
+def _chain_1d(x, c: dict, logdet=None):
     """Run every block's row operations, u = (x - mu)*exp(-s),
     t = tanh(b*u), x = u + a*t and logdet += log(1 + ab*(1 - t*t)) - s, on
     the rows ``x`` ((n,) for one model, (g, n) for a group) with per-block
-    values ``c``.  Returns (z, logdet, rows): the logdet is
-    accumulated only if one is given, and only if ``keep`` are the blocks'
-    u and t written to ``rows``, one (2, blocks, *x.shape) array.  The
-    backward pass recomputes the rest from them."""
+    values ``c``.  Returns (z, logdet, rows).  Scoring passes a logdet to
+    accumulate and gets no rows; a training pass passes none and gets the
+    blocks' u and t in ``rows``, one (2, blocks, *x.shape) array, from
+    which the backward pass recomputes the rest."""
     n_blocks = len(c["mu"])
+    keep = logdet is None
     rows = np.empty((2, n_blocks) + x.shape) if keep else None
     for k in range(n_blocks):
         u = np.subtract(x, c["mu"][k], out=rows[0, k] if keep else None)
@@ -286,14 +276,14 @@ def _chain_1d(x, c: dict, logdet=None, keep: bool = False):
         t = np.multiply(c["b"][k], u, out=rows[1, k] if keep else None)
         np.tanh(t, out=t)
         x = u + c["a"][k] * t
-        if logdet is not None:
+        if not keep:
             gp = 1.0 + c["ab"][k] * (1.0 - t * t)
             logdet = logdet + (np.log(gp) - c["s"][k])
         del u, t    # scoring holds one block's temporaries at a time
     return x, logdet, rows
 
 
-def _chain_backward_1d(rows, cols: dict, dz, c_logdet: float) -> np.ndarray:
+def _chain_adjoint_1d(rows, cols: dict, dz, c_logdet: float) -> np.ndarray:
     """Reverse-mode through ``_chain_1d``: each block's row sums of the
     loss's derivatives, from ``_block_values``' columns ``cols``.  Returns
     (dmu, ds, da, db) stacked, shaped (4, blocks) for one model and
@@ -347,25 +337,6 @@ def _conditioner_adjoint_1d(grads: np.ndarray, cond: dict, sums) -> None:
     sig = _sigmoid(cond["eb_raw"])
     grads[..., 2] += da * (1.0 - ta * ta) / slope
     grads[..., 3] += db * sig + da * (-ta / (slope * slope)) * sig
-
-
-def _forward_1d(model: FlowModel, y, keep: bool):
-    """Standardize ``y`` and run every block on its scalar conditioner.
-    Returns (z, logdet, cache); the cache holds each block's rows only if
-    ``keep``."""
-    x, logdet = model._standardize(y)
-    cond = _conditioner_1d(_blocks_1d(model.theta[None]))
-    c, cols = _block_values(cond, 0)
-    z, logdet, rows = _chain_1d(x[:, 0], c, logdet, keep)
-    return z[:, None], logdet, (cond, cols, rows)
-
-
-def _backward_1d(model: FlowModel, cache, dz, c_logdet: float) -> None:
-    """Reverse-mode through ``_forward_1d``: the blocks' row sums, then the
-    stacked conditioners' adjoint once."""
-    cond, cols, rows = cache
-    sums = _chain_backward_1d(rows, cols, dz[:, 0], c_logdet)
-    _conditioner_adjoint_1d(_blocks_1d(model.grad[None]), cond, sums.T[None])
 
 
 ADAM_BETA1 = 0.9
@@ -466,7 +437,7 @@ class _Fit:
 
     def start(self, storage) -> None:
         """Build the model in ``storage`` and score its initial hold-out NLL."""
-        self.model = build_flow(self.config, self.mu_std, self.sigma_std, storage)
+        self.model = FlowModel(self.config.n_blocks, self.mu_std, self.sigma_std, storage)
         self.best_nll = nll(self.model, self.hold)
         self.best_theta = self.model.theta.copy()
 
@@ -522,7 +493,8 @@ def _grad_1d(theta: np.ndarray, grad: np.ndarray, batches: list[np.ndarray]) -> 
     """Add each model's batch-NLL gradient to its row of (k, P) ``grad``:
     the conditioners once for all models, the row chain once per group of
     models whose batches have equal row counts.  A one-model group runs on
-    1-D rows with Python-float block values, as ``grad_nll`` does."""
+    1-D rows with Python-float block values; ``grad_nll`` is one such
+    group."""
     cond = _conditioner_1d(_blocks_1d(theta))
     sums = np.empty(cond["s_raw"].shape + (4,))  # (dmu, ds, da, db) per model and block
     groups: dict[int, list[int]] = {}
@@ -535,9 +507,9 @@ def _grad_1d(theta: np.ndarray, grad: np.ndarray, batches: list[np.ndarray]) -> 
         else:
             x = np.stack([batches[i] for i in members])
         c, cols = _block_values(cond, members)
-        z, _, rows = _chain_1d(x, c, keep=True)
+        z, _, rows = _chain_1d(x, c)
         z /= n
-        sums[members] = _chain_backward_1d(rows, cols, z, -1.0 / n).T
+        sums[members] = _chain_adjoint_1d(rows, cols, z, -1.0 / n).T
     _conditioner_adjoint_1d(_blocks_1d(grad), cond, sums)
 
 

@@ -294,7 +294,7 @@ def _flow_checks(root: statkit.SeedStream) -> list[ValidationCheck]:
     """The flow machinery's self-checks on one perturbed 3-block probe
     flow: its Jacobian, gradients, inversion and normalization."""
     gen = root.child("validate/flow-probe")
-    model = flow.build_flow(flow.TrainConfig(n_blocks=3))
+    model = flow.FlowModel(3)
     model.theta += 0.2 * gen.standard_normal(model.theta.size)
     y = np.sort(gen.standard_normal(64))[:, None]
     ok, worst = autoregressive_check(model, y)
@@ -402,7 +402,8 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
 
 def _gradient_check(model: flow.FlowModel, batch: np.ndarray, step: float = 1e-5,
                     rel_tol: float = 1e-4, abs_tol: float = 1e-7) -> tuple[bool, float]:
-    """Central-difference check of :func:`flow.grad_nll` on every entry of ``theta``."""
+    """Central-difference check of :func:`flow.grad_nll`, the training
+    step's gradient on one model, on every entry of ``theta``."""
     flow.grad_nll(model, batch)
     grad = model.grad.copy()
     theta = model.theta

@@ -133,39 +133,34 @@ def test_criterion_03_null_exactness():
 
 class TestCriterion04FlowSuite:
     def test_a_gradients(self):
-        cfg = flow.TrainConfig(seed=5, n_blocks=3)
         gen = np.random.default_rng(5)
         worst = 0.0
         ok = True
-        model = flow.build_flow(cfg)
-        for p in model.parameters():
-            p += 0.2 * gen.standard_normal(p.shape)
+        model = flow.FlowModel(3)
+        model.theta += 0.2 * gen.standard_normal(model.theta.size)
         batch = gen.standard_normal((6, 1))
-        _, grads = flow.grad_nll(model, batch)
-        for p, g in zip(model.parameters(), grads):
-            flat, gflat = p.reshape(-1), g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + 1e-5
-                up = flow.nll(model, batch)
-                flat[i] = orig - 1e-5
-                down = flow.nll(model, batch)
-                flat[i] = orig
-                fd = (up - down) / 2e-5
-                err = abs(fd - gflat[i])
-                worst = max(worst, err)
-                if err > 1e-7 and err / max(abs(fd), abs(gflat[i])) > 1e-4:
-                    ok = False
+        flow.grad_nll(model, batch)
+        theta, grad = model.theta, model.grad.copy()
+        for i in range(theta.size):
+            orig = theta[i]
+            theta[i] = orig + 1e-5
+            up = flow.nll(model, batch)
+            theta[i] = orig - 1e-5
+            down = flow.nll(model, batch)
+            theta[i] = orig
+            fd = (up - down) / 2e-5
+            err = abs(fd - grad[i])
+            worst = max(worst, err)
+            if err > 1e-7 and err / max(abs(fd), abs(grad[i])) > 1e-4:
+                ok = False
         report("4a", "every gradient coordinate of a 1-D flow within "
                      "1e-4 rel / 1e-7 abs of central differences", ok,
                f"worst abs err {worst:.2e}")
 
     def test_b_inversion(self):
-        cfg = flow.TrainConfig(seed=6, n_blocks=4)
-        model = flow.build_flow(cfg)
+        model = flow.FlowModel(4)
         gen = np.random.default_rng(6)
-        for p in model.parameters():
-            p += 0.3 * gen.standard_normal(p.shape)
+        model.theta += 0.3 * gen.standard_normal(model.theta.size)
         y = gen.standard_normal((256, 1)) * 3
         z, _ = model.forward(y)
         err = float(np.max(np.abs(model.inverse(z) - y)))

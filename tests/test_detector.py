@@ -8,7 +8,7 @@ from discodet import detector
 from discodet.detector import (DetectorConfig, FittedDetector, ObservationBatch,
                                calibrate_threshold, classify, evaluate,
                                fit_supervised, fit_unsupervised, llr, prefilter)
-from discodet.flow import TrainConfig, build_flow, train
+from discodet.flow import FlowModel, TrainConfig, train
 from discodet.statkit import SeedStream, sample_gamma
 from discodet.theory import GammaNull
 
@@ -93,27 +93,27 @@ class TestPrefilter:
 class TestThresholdAndClassify:
     def test_always_h1_detector(self):
         null = GammaNull(5, NOISE)
-        model = build_flow(TrainConfig())
+        model = FlowModel(5)
         det = FittedDetector(model, null, -math.inf)
         y = sample_gamma(SeedStream(2).child("y"), 5, NOISE, size=100)
         assert np.all(classify(det, y))       # FAR = 1, MDR = 0
 
     def test_always_h0_detector(self):
         null = GammaNull(5, NOISE)
-        det = FittedDetector(build_flow(TrainConfig()), null, math.inf)
+        det = FittedDetector(FlowModel(5), null, math.inf)
         y = sample_gamma(SeedStream(2).child("y"), 5, NOISE, size=100)
         assert not np.any(classify(det, y))
 
     def test_tie_decides_h0(self):
         null = GammaNull(5, NOISE)
-        det = FittedDetector(build_flow(TrainConfig()), null, 0.0)
+        det = FittedDetector(FlowModel(5), null, 0.0)
         y = sample_gamma(SeedStream(2).child("y"), 5, NOISE, size=1)
         det.threshold = float(llr(det, y)[0])    # exact tie by construction
         assert not classify(det, y)[0]
 
     def test_calibration_quantile(self):
         null = GammaNull(5, NOISE)
-        model = build_flow(TrainConfig())
+        model = FlowModel(5)
         gen = SeedStream(3).child("cal")
         eta = calibrate_threshold(model, null, 0.05, 50_000, gen)
         # fresh null draws should exceed eta about 5% of the time
@@ -123,21 +123,21 @@ class TestThresholdAndClassify:
 
     def test_small_n_mc_warns(self):
         null = GammaNull(5, NOISE)
-        model = build_flow(TrainConfig())
+        model = FlowModel(5)
         with pytest.warns(UserWarning):
             calibrate_threshold(model, null, 0.05, 500, SeedStream(3).child("w"))
 
     def test_nan_ratio_rejected(self):
         # a flow whose log-density is NaN must not set a threshold
         null = GammaNull(5, NOISE)
-        model = build_flow(TrainConfig())
+        model = FlowModel(5)
         model.theta[0] = math.nan
         with pytest.raises(ValueError, match="NaN"):
             calibrate_threshold(model, null, 0.05, 20_000, SeedStream(3).child("nan"))
 
     def test_negative_input_rejected(self):
         null = GammaNull(5, NOISE)
-        det = FittedDetector(build_flow(TrainConfig()), null, 0.0)
+        det = FittedDetector(FlowModel(5), null, 0.0)
         with pytest.raises(ValueError):
             llr(det, np.array([-1.0]))
         # a NaN or an infinite statistic has a NaN ratio, which classify reads as H0
@@ -190,7 +190,7 @@ class TestFitting:
 
 class TestEvaluate:
     def _trivial_detector(self, threshold):
-        return FittedDetector(build_flow(TrainConfig()),
+        return FittedDetector(FlowModel(5),
                               GammaNull(5, NOISE), threshold)
 
     def test_always_h1_rates(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from discodet import flow, sweeps
-from discodet.flow import (AdamState, TrainConfig, adam_step, build_flow, grad_nll,
+from discodet.flow import (AdamState, FlowModel, TrainConfig, adam_step, grad_nll,
                            load_flow, nll, save_flow, standardizer_fit, train)
 from discodet.statkit import SeedStream, sample_gamma
 from discodet.sweeps import autoregressive_check
@@ -17,28 +17,25 @@ LOG_SCALE = 1   # the column of a block's (shift, log-scale, ea, eb) values
 
 
 def perturbed_model(seed=11, scale=0.1, n_blocks=3):
-    model = build_flow(TrainConfig(n_blocks=n_blocks))
-    gen = np.random.default_rng(seed)
-    for p in model.parameters():
-        p += scale * gen.standard_normal(p.shape)
+    model = FlowModel(n_blocks)
+    model.theta += scale * np.random.default_rng(seed).standard_normal(model.theta.size)
     return model
 
 
 def finite_diff_check(model, batch, step=1e-5, rel_tol=1e-4, abs_tol=1e-7):
-    _, grads = grad_nll(model, batch)
-    for p, g in zip(model.parameters(), grads):
-        flat, gflat = p.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = nll(model, batch)
-            flat[i] = orig - step
-            down = nll(model, batch)
-            flat[i] = orig
-            fd = (up - down) / (2 * step)
-            err = abs(fd - gflat[i])
-            assert err <= abs_tol or err / max(abs(fd), abs(gflat[i])) <= rel_tol, (
-                f"gradient mismatch: analytic {gflat[i]:.3e}, numeric {fd:.3e}")
+    grad_nll(model, batch)
+    theta, grad = model.theta, model.grad.copy()
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        up = nll(model, batch)
+        theta[i] = orig - step
+        down = nll(model, batch)
+        theta[i] = orig
+        fd = (up - down) / (2 * step)
+        err = abs(fd - grad[i])
+        assert err <= abs_tol or err / max(abs(fd), abs(grad[i])) <= rel_tol, (
+            f"gradient mismatch: analytic {grad[i]:.3e}, numeric {fd:.3e}")
 
 
 class TestStandardizer:
@@ -56,13 +53,13 @@ class TestStandardizer:
 
 class TestIdentityInit:
     def test_log_prob_is_standard_normal_at_init(self):
-        model = build_flow(TrainConfig(n_blocks=4))
+        model = FlowModel(4)
         x = np.random.default_rng(0).standard_normal((32, 1))
         expected = -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi)
         np.testing.assert_allclose(model.log_prob(x), expected, atol=1e-12)
 
     def test_forward_is_identity_at_init(self):
-        model = build_flow(TrainConfig())
+        model = FlowModel(5)
         x = np.random.default_rng(1).standard_normal((16, 1))
         z, _ = model.forward(x)
         np.testing.assert_allclose(z, x, atol=1e-12)
@@ -211,7 +208,7 @@ class TestScalarPath:
         z, logdet, _ = reference_forward(cond, 0, x)
         log_prob = -0.5 * z * z - 0.5 * math.log(2 * math.pi) - math.log(2.0) + logdet
         np.testing.assert_allclose(model.log_prob(y), log_prob, rtol=1e-12, atol=1e-14)
-        loss, _ = grad_nll(model, y)
+        loss = grad_nll(model, y)
         assert loss == pytest.approx(-log_prob.mean(), rel=1e-12, abs=1e-14)
         grad = np.zeros_like(theta)
         reference_adjoint(per_parameter(theta), per_parameter(grad), cond,
@@ -247,8 +244,8 @@ class TestRowChain:
             x = np.stack([batches[i] for i in members]) if isinstance(members, list) \
                 else batches[members]
             c, cols = flow._block_values(cond, members)
-            z, _, rows = flow._chain_1d(x, c, keep=True)
-            sums = flow._chain_backward_1d(rows, cols, z / x.shape[-1], -1.0 / x.shape[-1])
+            z, _, rows = flow._chain_1d(x, c)
+            sums = flow._chain_adjoint_1d(rows, cols, z / x.shape[-1], -1.0 / x.shape[-1])
             np.testing.assert_array_equal(sums, ref_sums[..., members])
         flow._grad_1d(theta, grad, batches)
         ref_grad = np.zeros_like(theta)
@@ -309,8 +306,7 @@ class TestTraining:
         data = SeedStream(8).child("det").standard_normal(2000)
         m1 = train(data, TrainConfig(seed=21, epochs=3))
         m2 = train(data, TrainConfig(seed=21, epochs=3))
-        for a, b in zip(m1.parameters(), m2.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(m1.theta, m2.theta)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -399,8 +395,12 @@ class TestTrainMany:
     ], ids=["too-few", "shape", "columns", "degenerate"])
     def test_bad_dataset_raises_before_training(self, monkeypatch, bad, message):
         built = []
-        build = flow.build_flow
-        monkeypatch.setattr(flow, "build_flow", lambda *a, **k: built.append(a) or build(*a, **k))
+
+        class SpyFlowModel(flow.FlowModel):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(flow, "FlowModel", SpyFlowModel)
         good = SeedStream(18).child("good").standard_normal(100)
         configs = [TrainConfig(seed=i, epochs=1) for i in range(3)]
         with pytest.raises(ValueError, match=re.escape(f"dataset 1: {message}")):
@@ -522,18 +522,21 @@ class TestFlatParameters:
             model = load_flow(tmp_path / "model.flow")
         return model
 
-    def test_theta_is_parameters_in_order(self, model):
-        params = model.parameters()
-        np.testing.assert_array_equal(
-            model.theta, np.concatenate([p.reshape(-1) for p in params]))
-        assert all(np.shares_memory(p, model.theta) for p in params)
+    def test_blocks_are_a_view_of_theta(self, model):
+        assert model.blocks.shape == (3, 4)
+        np.testing.assert_array_equal(model.blocks.reshape(-1), model.theta)
+        model.blocks[1, LOG_SCALE] = 7.5
+        assert model.theta[4 + LOG_SCALE] == 7.5
 
-    def test_gradients_are_views_of_grad(self, model):
-        _, grads = grad_nll(model, np.random.default_rng(3).standard_normal((6, 1)))
-        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
-        np.testing.assert_array_equal(
-            model.grad, np.concatenate([g.reshape(-1) for g in grads]))
-        assert all(np.shares_memory(g, model.grad) for g in grads)
+    def test_grad_nll_fills_grad_in_place(self, model):
+        grad = model.grad
+        batch = np.random.default_rng(3).standard_normal((6, 1))
+        loss = grad_nll(model, batch)
+        assert type(loss) is float and loss == nll(model, batch)
+        assert model.grad is grad and np.any(grad != 0.0)
+        expected = np.zeros((1, grad.size))
+        flow._grad_1d(model.theta[None], expected, [batch[:, 0]])
+        np.testing.assert_array_equal(grad, expected[0])
 
 
 def reference_adam(params, grads, m, v, t, lr):
@@ -555,7 +558,7 @@ class TestAdam:
     def test_matches_per_array_reference(self):
         model = perturbed_model()
         config = TrainConfig(learning_rate=1e-3)
-        ref = [p.copy() for p in model.parameters()]
+        ref = [p.copy() for p in model.blocks]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         state = AdamState(model.theta)
@@ -569,7 +572,7 @@ class TestAdam:
             before = grad.copy()
             adam_step(model.theta, grad, state, config)
             np.testing.assert_array_equal(grad, before)
-            for p, r in zip(model.parameters(), ref):
+            for p, r in zip(model.blocks, ref):
                 if clipped:
                     np.testing.assert_allclose(p, r, rtol=1e-12, atol=0)
                 else:
@@ -585,7 +588,7 @@ class TestNumerics:
         assert np.all(np.isfinite(out))
 
     def test_nll_empty_batch(self):
-        model = build_flow(TrainConfig())
+        model = FlowModel(5)
         with pytest.raises(ValueError):
             nll(model, np.empty((0, 1)))
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import struct
@@ -167,11 +168,16 @@ class TestValidationSuite:
                 "flow_roundtrip", "far_calibration",
                 "surrogate_np_oracle"} <= names
 
-    def test_gradient_check_rejects_a_wrong_gradient(self, monkeypatch):
-        model = flow.build_flow(flow.TrainConfig(n_blocks=2))
+    @staticmethod
+    def probe_model_and_batch():
+        model = flow.FlowModel(2)
         model.theta += 0.2 * SeedStream(3).child("theta").standard_normal(model.theta.size)
         batch = SeedStream(4).child("grad").standard_normal((6, 1))
         assert sweeps._gradient_check(model, batch)[0]
+        return model, batch
+
+    def test_gradient_check_rejects_a_wrong_gradient(self, monkeypatch):
+        model, batch = self.probe_model_and_batch()
         grad_nll = flow.grad_nll
 
         def wrong_grad_nll(model, batch):
@@ -182,8 +188,30 @@ class TestValidationSuite:
         monkeypatch.setattr(flow, "grad_nll", wrong_grad_nll)
         assert not sweeps._gradient_check(model, batch)[0]
 
+    def test_gradient_check_rejects_a_wrong_training_gradient(self, monkeypatch):
+        # the check runs the gradient that every training step takes
+        model, batch = self.probe_model_and_batch()
+        grad_1d = flow._grad_1d
+
+        def wrong_grad_1d(theta, grad, batches):
+            grad_1d(theta, grad, batches)
+            grad[0, 3] += 0.5
+
+        monkeypatch.setattr(flow, "_grad_1d", wrong_grad_1d)
+        assert not sweeps._gradient_check(model, batch)[0]
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["discodet"] + [
+    f"discodet.{m}" for m in ("channel", "statkit", "theory", "flow", "detector", "sweeps")])
+def test_all_names_resolve(module):
+    """Every name a module exports exists: ``from ... import *`` and
+    tools that walk ``__all__`` with ``getattr`` fail on a stale entry."""
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_package_does_not_import_scipy():
