@@ -33,7 +33,6 @@ __all__ = [
     "dbm_to_watts",
     "path_loss_linear",
     "sample_bob_position",
-    "los_steering",
     "sample_rician_g",
     "cascaded_mc",
     "gen_willie_statistics",
@@ -59,7 +58,15 @@ NLOS_3GPP = PathLoss(32.6, 36.7)
 
 @dataclass(frozen=True)
 class Geometry:
-    """Node positions, the receiver annulus, and the surface's element grid."""
+    """Node positions, the receiver annulus, and the surface's element count.
+
+    A surface is its element count: no output depends on where its
+    elements sit.  Each element's cascade term g_k h_I,k is drawn with
+    h_I,k ~ CN(0, 1), circular and independent of g.  It absorbs any
+    phase of g_k, so the term's law depends on |g_k| alone, whatever the
+    phase of g's LOS component.  Were h_I to gain a LOS component of its
+    own, the elements' positions would matter again.
+    """
 
     alice: tuple[float, float, float]
     willie: tuple[float, float, float]
@@ -67,48 +74,16 @@ class Geometry:
     bob_center: tuple[float, float, float]
     bob_inner: float
     bob_outer: float
-    grid_h: int = 64
-    grid_v: int = 32
-    element_spacing: float = 0.0857 / 2
-    wavelength: float = 0.0857
+    n_elements: int = 2048
 
     def __post_init__(self):
-        if self.grid_h < 0 or self.grid_v < 0:
-            raise ValueError("element grid counts must be non-negative")
+        if self.n_elements < 0:
+            raise ValueError("element count must be non-negative")
         if not 0 <= self.bob_inner <= self.bob_outer:
             raise ValueError("annulus radii must satisfy 0 <= inner <= outer")
-        if not (self.wavelength > 0 and self.element_spacing > 0):
-            raise ValueError("wavelength and element spacing must be positive")
-
-    @property
-    def n_elements(self) -> int:
-        return self.grid_h * self.grid_v
-
-    def element_positions(self) -> np.ndarray:
-        """(N_D, 3) element coordinates on a planar grid centered at dris_center.
-
-        The panel spans the y (horizontal) and z (vertical) axes, facing
-        the transmitter along x.
-        """
-        c = np.asarray(self.dris_center, dtype=float)
-        iy = np.arange(self.grid_h) - (self.grid_h - 1) / 2.0
-        iz = np.arange(self.grid_v) - (self.grid_v - 1) / 2.0
-        yy, zz = np.meshgrid(iy, iz, indexing="ij")
-        pos = np.zeros((self.n_elements, 3))
-        pos[:, 0] = c[0]
-        pos[:, 1] = c[1] + yy.ravel() * self.element_spacing
-        pos[:, 2] = c[2] + zz.ravel() * self.element_spacing
-        return pos
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-
-    @functools.cached_property
-    def steering(self) -> np.ndarray:
-        """:func:`los_steering` of this geometry, computed once and read-only."""
-        vec = los_steering(self)
-        vec.flags.writeable = False
-        return vec
 
 
 @dataclass(frozen=True)
@@ -209,27 +184,21 @@ def sample_bob_position(gen: np.random.Generator, geometry: Geometry, size: int)
     return pos
 
 
-def los_steering(geometry: Geometry) -> np.ndarray:
-    """Unit-modulus near-field LOS vector exp(-j 2pi/lambda (d_r - d_0))."""
-    alice = np.asarray(geometry.alice, dtype=float)
-    d_r = np.linalg.norm(geometry.element_positions() - alice, axis=1)
-    d_0 = geometry.distance(alice, geometry.dris_center)
-    return np.exp(-1j * (2 * np.pi / geometry.wavelength) * (d_r - d_0))
-
-
-def sample_rician_g(gen: np.random.Generator, geometry: Geometry, kappa: float,
+def sample_rician_g(gen: np.random.Generator, n_elements: int, kappa: float,
                     size: int) -> np.ndarray:
     """Transmitter-to-surface small-scale vectors with Rician factor kappa.
 
-    Returns ``(size, N_D)`` independent interval realizations sharing the
-    deterministic LOS component; the per-entry second moment is 1 for
-    every kappa >= 0.
+    Returns ``(size, n_elements)`` independent interval realizations with
+    the real LOS component sqrt(kappa / (1 + kappa)); the per-entry second
+    moment is 1 for every kappa >= 0.  A constant LOS phase suffices
+    because every caller multiplies g by an independent circular h_I (see
+    :class:`Geometry`).
     """
     if kappa < 0:
         raise ValueError("Rician factor must be non-negative")
-    g = sample_cgauss(gen, 1.0, size=(size, geometry.n_elements))
+    g = sample_cgauss(gen, 1.0, size=(size, n_elements))
     g *= math.sqrt(1 / (1 + kappa))
-    g += math.sqrt(kappa / (1 + kappa)) * geometry.steering
+    g += math.sqrt(kappa / (1 + kappa))
     return g
 
 
@@ -290,7 +259,7 @@ def _element_cascade(gen: np.random.Generator, geometry: Geometry, kappa: float,
     K^N * _PATTERN_MARGIN elements, such as the receiver's one-symbol
     draws when N_D < 2K.
     """
-    a = sample_rician_g(gen, geometry, kappa, size=n_intervals)
+    a = sample_rician_g(gen, geometry.n_elements, kappa, size=n_intervals)
     a *= sample_cgauss(gen, 1.0, size=a.shape)
     idx = _phase_indices(gen, profile, (n_intervals, n_symbols, a.shape[1]))
     return _contract(a, idx, profile.coeff_table())
@@ -318,10 +287,9 @@ def _pattern_cascade(gen: np.random.Generator, geometry: Geometry, kappa: float,
     m_p are Multinomial(N_D, pi_p).  Given g, the terms g_k h_I,k are
     independent CN(0, |g_k|^2), so the elements of pattern p add up to
     sqrt(W_p) z_p with z_p ~ CN(0, 1) and W_p their summed |g_k|^2.  Each
-    |g_k|^2 is chi'^2(2, 2 kappa) / (2 (1 + kappa)) (the LOS term has unit
-    modulus), and noncentral chi^2 variates add: W_p is
-    chi'^2(2 m_p, 2 m_p kappa) / (2 (1 + kappa)).  Only patterns with
-    m_p > 0 are drawn.
+    |g_k|^2 is chi'^2(2, 2 kappa) / (2 (1 + kappa)), and noncentral chi^2
+    variates add: W_p is chi'^2(2 m_p, 2 m_p kappa) / (2 (1 + kappa)).
+    Only patterns with m_p > 0 are drawn.
     """
     table, prob = _pattern_table(profile, n_symbols)
     counts = gen.multinomial(geometry.n_elements, prob, size=n_intervals)

@@ -17,7 +17,7 @@ from .detector import DetectorConfig
 from .flow import TrainConfig
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "parse_config_text",
-           "dump_config", "grid_for_elements"]
+           "dump_config"]
 
 PI = math.pi
 
@@ -50,8 +50,6 @@ _SCHEMA: dict[str, tuple] = {
     "geometry.bob_center": (_parse_float_list, (0.0, 140.0, 0.0)),
     "geometry.bob_inner": (float, 10.0),
     "geometry.bob_outer": (float, 20.0),
-    "geometry.wavelength": (float, 0.0857),
-    "geometry.element_spacing": (float, 0.0857 / 2),
     "fading.los_intercept_db": (float, 35.6),
     "fading.los_slope_db": (float, 22.0),
     "fading.nlos_intercept_db": (float, 32.6),
@@ -165,10 +163,10 @@ class ScenarioConfig:
         return PathLoss(self["fading.nlos_intercept_db"], self["fading.nlos_slope_db"])
 
     def geometry(self, n_elements: int | None = None) -> Geometry:
+        """The scenario's geometry on ``n_elements`` elements, by default
+        ``dris.elements_h * dris.elements_v`` (only their product is read)."""
         if n_elements is None:
-            gh, gv = self["dris.elements_h"], self["dris.elements_v"]
-        else:
-            gh, gv = grid_for_elements(n_elements)
+            n_elements = self["dris.elements_h"] * self["dris.elements_v"]
         return Geometry(
             alice=tuple(self["geometry.alice"]),
             willie=tuple(self["geometry.willie"]),
@@ -176,10 +174,7 @@ class ScenarioConfig:
             bob_center=tuple(self["geometry.bob_center"]),
             bob_inner=self["geometry.bob_inner"],
             bob_outer=self["geometry.bob_outer"],
-            grid_h=gh,
-            grid_v=gv,
-            element_spacing=self["geometry.element_spacing"],
-            wavelength=self["geometry.wavelength"],
+            n_elements=n_elements,
         )
 
     def fading(self) -> LinkFading:
@@ -239,24 +234,6 @@ class ScenarioConfig:
         cfg = ScenarioConfig(tuple(v.items()))
         cfg.validate()
         return cfg
-
-
-def grid_for_elements(n: int) -> tuple[int, int]:
-    """Pick a panel grid (h, v) with h * v = n; h is the smallest power of
-    two >= sqrt(n) that divides n.  Only the LOS steering phases depend on
-    this choice."""
-    if n < 0:
-        raise ConfigError("element count must be non-negative")
-    if n == 0:
-        return 0, 0
-    h = 1
-    while h < math.isqrt(n):
-        h *= 2
-    while h <= n:
-        if n % h == 0:
-            return h, n // h
-        h *= 2
-    return n, 1
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:

@@ -165,7 +165,7 @@ def _draw_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
     and scores need: the unsupervised and supervised fits and, on a surface
     point, the no-surface baseline's, each with its evaluation batch."""
     setting = {"p0_dbm": cfg["sweep.fixed_p0_dbm"],
-               "n_elements": cfg["dris.elements_h"] * cfg["dris.elements_v"],
+               "n_elements": cfg.geometry().n_elements,
                "n_samples": cfg["detector.n_samples"]}
     setting[sweep_var] = sweep_value
     p0_dbm, n_elements, n_samples = setting.values()

@@ -8,18 +8,17 @@ from scipy import stats
 from discodet import channel
 from discodet.channel import (DrisProfile, Geometry, LinkFading,
                               cascaded_mc, dbm_to_watts, gen_bob_signals,
-                              gen_willie_statistics, los_steering,
-                              path_loss_linear, sample_bob_position,
-                              sample_rician_g)
+                              gen_willie_statistics, path_loss_linear,
+                              sample_bob_position, sample_rician_g)
 from discodet.config import DEFAULT_CONFIG, parse_config_text
 from discodet.statkit import SeedStream
 from discodet.theory import alpha_bar, prop_variance
 
 
-def small_geometry(grid_h=16, grid_v=16):
+def small_geometry(n_elements=256):
     return Geometry(alice=(0.0, 0.0, 5.0), willie=(0.0, 100.0, 0.0),
                     dris_center=(-1.5, 0.0, 5.0), bob_center=(0.0, 140.0, 0.0),
-                    bob_inner=10.0, bob_outer=20.0, grid_h=grid_h, grid_v=grid_v)
+                    bob_inner=10.0, bob_outer=20.0, n_elements=n_elements)
 
 
 class TestUnits:
@@ -36,16 +35,6 @@ class TestUnits:
 
 
 class TestGeometry:
-    def test_element_grid(self):
-        geo = small_geometry()
-        pos = geo.element_positions()
-        assert pos.shape == (256, 3)
-        np.testing.assert_allclose(pos.mean(axis=0), geo.dris_center, atol=1e-12)
-        assert np.all(pos[:, 0] == geo.dris_center[0])   # planar panel
-        # nearest-neighbor spacing equals the configured element spacing
-        gaps = np.diff(np.unique(np.round(pos[:, 1], 9)))
-        np.testing.assert_allclose(gaps, geo.element_spacing, atol=1e-9)
-
     def test_distance(self):
         geo = small_geometry()
         assert geo.distance(geo.alice, geo.dris_center) == pytest.approx(1.5)
@@ -96,22 +85,16 @@ class TestSampling:
         assert np.mean(r**2) == pytest.approx((100 + 400) / 2, rel=0.01)
         assert np.all(pos[:, 2] == geo.bob_center[2])
 
-    def test_los_steering_unit_modulus(self):
-        vec = los_steering(small_geometry())
-        np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-12)
-
     def test_rician_moments(self):
-        geo = small_geometry(4, 4)
         gen = SeedStream(3).child("ric")
-        g = sample_rician_g(gen, geo, kappa=4.0, size=40_000)
-        # per-entry unit second moment; mean is the scaled steering vector
+        g = sample_rician_g(gen, 16, kappa=4.0, size=40_000)
+        # per-entry unit second moment; the mean is the real LOS term
         np.testing.assert_allclose(np.mean(np.abs(g) ** 2, axis=0), 1.0, atol=0.02)
-        expected_mean = math.sqrt(4 / 5) * los_steering(geo)
+        expected_mean = np.full(16, math.sqrt(4 / 5))
         np.testing.assert_allclose(g.mean(axis=0), expected_mean, atol=0.02)
 
     def test_rician_zero_kappa_is_rayleigh(self):
-        geo = small_geometry(4, 4)
-        g = sample_rician_g(SeedStream(3).child("ray"), geo, kappa=0.0, size=40_000)
+        g = sample_rician_g(SeedStream(3).child("ray"), 16, kappa=0.0, size=40_000)
         assert abs(g.mean()) < 0.02
 
 
@@ -173,12 +156,12 @@ class TestCascadeKernel:
     @pytest.mark.parametrize("prof", [DEFAULT_PROFILE, QUARTER_PROFILE,
                                       NON_DYADIC_PROFILE])
     def test_matches_einsum(self, prof):
-        geo = small_geometry(8, 8)
+        geo = small_geometry(64)
         kappa = LinkFading().rician_g
         got = channel._element_cascade(SeedStream(9).child("k"), geo, kappa, prof, 30, 5)
         # the same draws, in the same order, contracted the direct way
         gen = SeedStream(9).child("k")
-        g = sample_rician_g(gen, geo, kappa, size=30)
+        g = sample_rician_g(gen, geo.n_elements, kappa, size=30)
         h = channel.sample_cgauss(gen, 1.0, size=(30, 64))
         idx = channel._phase_indices(gen, prof, (30, 5, 64))
         ref = np.einsum("ik,imk->im", g * h, prof.coeff_table()[idx])
@@ -192,7 +175,7 @@ class TestCascadeKernel:
     def test_dispatch(self, n_elements, kernel):
         """Three two-phase symbols make 8 patterns: the pattern kernel runs
         exactly when 8 * _PATTERN_MARGIN <= N_D."""
-        geo = small_geometry(n_elements, 1)
+        geo = small_geometry(n_elements)
         fad = LinkFading()
         loss_i = np.linspace(1e7, 1e8, 7)
         got = channel._cascade(SeedStream(2).child("d"), geo, fad, DEFAULT_PROFILE,
@@ -201,15 +184,6 @@ class TestCascadeKernel:
         ref = kernel(SeedStream(2).child("d"), geo, fad.rician_g, DEFAULT_PROFILE, 7, 3) \
             / np.sqrt(loss_g * loss_i)[:, None]
         np.testing.assert_array_equal(got, ref)
-
-    def test_steering_is_cached_read_only(self):
-        geo = small_geometry()
-        vec = geo.steering
-        assert vec is geo.steering
-        assert not vec.flags.writeable
-        np.testing.assert_array_equal(vec, los_steering(geo))
-        with pytest.raises(ValueError):
-            vec[0] = 0
 
 
 FOUR_PHASE_PROFILE = DrisProfile((0.0, 1.0, 2.5, 4.0), (1.0, 0.9, 0.6, 0.3),
@@ -243,10 +217,10 @@ class TestPatternKernel:
 
     @pytest.mark.parametrize("prof", [DEFAULT_PROFILE, FOUR_PHASE_PROFILE],
                              ids=["default", "four-phase"])
-    @pytest.mark.parametrize("grid", [(16, 16), (64, 32)], ids=["256", "2048"])
+    @pytest.mark.parametrize("n_elements", [256, 2048], ids=["256", "2048"])
     @pytest.mark.parametrize("n_symbols", [1, 5])
-    def test_matches_element_kernel(self, prof, grid, n_symbols):
-        geo = small_geometry(*grid)
+    def test_matches_element_kernel(self, prof, n_elements, n_symbols):
+        geo = small_geometry(n_elements)
         n = min(4000, 8_000_000 // (n_symbols * geo.n_elements))   # ~1 s per case
         ys = []
         for seed, kernel in ((11, channel._element_cascade), (12, channel._pattern_cascade)):
@@ -257,6 +231,62 @@ class TestPatternKernel:
             assert abs(y.mean() - mean_y) < 4.5 * y.std() / math.sqrt(n), kernel
             ys.append(y)
         assert stats.ks_2samp(*ys).pvalue > 1e-3
+
+
+def near_field_los(geo, grid_h=16, grid_v=16, wavelength=0.0857):
+    """Unit-modulus near-field LOS vector exp(-j 2pi/lambda (d_k - d_0)) of
+    a planar grid_h x grid_v panel at half-wavelength spacing, centered at
+    the surface and facing the transmitter along x; d_k is element k's
+    distance to the transmitter and d_0 the panel center's."""
+    spacing = wavelength / 2
+    iy = np.arange(grid_h) - (grid_h - 1) / 2.0
+    iz = np.arange(grid_v) - (grid_v - 1) / 2.0
+    yy, zz = np.meshgrid(iy, iz, indexing="ij")
+    pos = np.empty((grid_h * grid_v, 3))
+    pos[:, 0] = geo.dris_center[0]
+    pos[:, 1] = geo.dris_center[1] + yy.ravel() * spacing
+    pos[:, 2] = geo.dris_center[2] + zz.ravel() * spacing
+    d_k = np.linalg.norm(pos - np.asarray(geo.alice), axis=1)
+    d_0 = geo.distance(geo.alice, geo.dris_center)
+    return np.exp(-1j * (2 * np.pi / wavelength) * (d_k - d_0))
+
+
+def near_field_cascade(gen, los, kappa, profile, n_intervals, n_symbols):
+    """The per-element cascade with g's LOS term sqrt(kappa / (1 + kappa))
+    times the phases ``los``, in place of the real constant."""
+    g = channel.sample_cgauss(gen, 1.0, size=(n_intervals, los.size))
+    g *= math.sqrt(1 / (1 + kappa))
+    g += math.sqrt(kappa / (1 + kappa)) * los
+    g *= channel.sample_cgauss(gen, 1.0, size=g.shape)
+    idx = channel._phase_indices(gen, profile, (n_intervals, n_symbols, los.size))
+    return channel._contract(g, idx, profile.coeff_table())
+
+
+class TestNearFieldReference:
+    """h_I is circular and independent of g, so it absorbs the phase of
+    g's LOS term: a near-field panel's cascade has the law of the element
+    kernel's, which draws that term as a real constant."""
+
+    def test_element_kernel_matches_near_field_panel(self):
+        geo = small_geometry(256)
+        los = near_field_los(geo)
+        assert np.ptp(np.angle(los)) > 3     # the reference phases do vary
+        kappa = LinkFading().rician_g
+        n_intervals, n_symbols = 3000, 20
+        draws = []
+        for seed, kernel in (
+                (13, lambda gen, k: near_field_cascade(gen, los, kappa, DEFAULT_PROFILE,
+                                                       k, n_symbols)),
+                (14, lambda gen, k: channel._element_cascade(gen, geo, kappa, DEFAULT_PROFILE,
+                                                             k, n_symbols))):
+            gen = SeedStream(seed).child("near-field")
+            draws.append(channel._chunked(n_intervals, n_symbols * geo.n_elements,
+                                          lambda k: kernel(gen, k)))
+        for name, stat in (("|h(1)|^2", lambda h: np.abs(h[:, 0]) ** 2),
+                           ("sum |h(m)|^2", lambda h: np.sum(np.abs(h) ** 2, axis=1)),
+                           ("Re h(1)", lambda h: h[:, 0].real),
+                           ("|h(1) + h(2)|^2", lambda h: np.abs(h[:, 0] + h[:, 1]) ** 2)):
+            assert stats.ks_2samp(*map(stat, draws)).pvalue > 1e-3, name
 
 
 class TestCascadedChannel:
@@ -276,7 +306,7 @@ class TestCascadedChannel:
         assert abs(draws.mean()) < 6 * math.sqrt(var_th / draws.size)
 
     def test_zero_elements(self):
-        geo = small_geometry(0, 0)
+        geo = small_geometry(0)
         draws = cascaded_mc(SeedStream(4).child("mc0"), geo, LinkFading(),
                             DEFAULT_CONFIG.profile(), 100)
         assert np.all(draws == 0)

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from discodet.config import (DEFAULT_CONFIG, ConfigError, dump_config,
-                             grid_for_elements, parse_config, parse_config_text)
+from discodet.config import (DEFAULT_CONFIG, ConfigError, dump_config, parse_config,
+                             parse_config_text)
 
 
 class TestDefaults:
@@ -32,9 +32,11 @@ class TestParsing:
         assert cfg["flow.epochs"] == 17
 
     def test_unknown_key_names_line(self):
-        # flow.enrichment and flow.hidden were settings once; they are now
-        # unknown like any other
-        for key in ("nope.key = 1", "flow.enrichment = on", "flow.hidden = 64"):
+        # flow.enrichment, flow.hidden, geometry.wavelength and
+        # geometry.element_spacing were settings once; they are now unknown
+        # like any other
+        for key in ("nope.key = 1", "flow.enrichment = on", "flow.hidden = 64",
+                    "geometry.wavelength = 0.0857", "geometry.element_spacing = 0"):
             with pytest.raises(ConfigError, match="2.*unknown key"):
                 parse_config_text(f"\n{key}\n")
 
@@ -68,10 +70,8 @@ class TestParsing:
         ("fading.rician_g = -1", "fading: Rician"),
         ("fading.bandwidth_hz = 0", "fading.bandwidth_hz"),
         ("fading.rician_g = nan", "fading.rician_g must be finite"),
-        ("geometry.wavelength = nan", "geometry.wavelength must be finite"),
+        ("geometry.bob_outer = nan", "geometry.bob_outer must be finite"),
         ("sweep.powers_dbm = -7, nan", "sweep.powers_dbm must be finite"),
-        ("geometry.wavelength = 0", "geometry: wavelength"),
-        ("geometry.element_spacing = 0", "geometry: wavelength and element spacing"),
         ("geometry.bob_inner = -5", "geometry: annulus radii"),
         ("sweep.samples = 1, 25", "sweep.samples"),
         ("sweep.samples = 0, 5", "sweep.samples"),
@@ -127,22 +127,14 @@ class TestDump:
             assert key + " = " in text
 
 
-class TestGridForElements:
-    @pytest.mark.parametrize("n,expected", [
-        (0, (0, 0)), (1, (1, 1)), (256, (16, 16)), (512, (32, 16)),
-        (1024, (32, 32)), (2048, (64, 32)),
-    ])
-    def test_known_grids(self, n, expected):
-        assert grid_for_elements(n) == expected
-
-    def test_product_invariant(self):
-        for n in (2, 6, 12, 100, 300, 4096):
-            h, v = grid_for_elements(n)
-            assert h * v == n
+class TestElementCount:
+    @pytest.mark.parametrize("n", [0, 1, 6, 256, 300, 512, 1024, 2048])
+    def test_geometry_takes_count(self, n):
+        assert DEFAULT_CONFIG.geometry(n).n_elements == n
 
     def test_negative(self):
-        with pytest.raises(ConfigError):
-            grid_for_elements(-1)
+        with pytest.raises(ValueError, match="element count must be non-negative"):
+            DEFAULT_CONFIG.geometry(-1)
 
 
 class TestBuilders:

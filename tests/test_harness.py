@@ -300,10 +300,10 @@ class TestCli:
 
     def test_bad_geometry_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("geometry.wavelength = 0\n")
+        bad.write_text("geometry.bob_inner = 25\n")    # above geometry.bob_outer = 20
         res = run_cli(["sweep-power", "--config", str(bad)], tmp_path)
         assert res.returncode == 2
-        assert "config error" in res.stderr and "wavelength" in res.stderr
+        assert "config error" in res.stderr and "geometry.bob_inner" in res.stderr
 
     def test_bad_sweep_samples_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -5,7 +5,8 @@
 Runs the three sweeps, the ``train`` command and the ``validate``
 self-check suite on a tiny configuration with a fixed seed and writes
 ``sweep_power.csv``, ``sweep_elements.csv``, ``sweep_samples.csv``,
-``detector.flow`` and ``validate.txt`` (the suite's report) to OUTDIR.
+``detector.flow`` and ``validate.txt`` (the suite's report) to OUTDIR,
+and fixed-seed draws of the channel generators to ``channel.txt``.
 Run it on two checkouts (each with its own ``src`` on PYTHONPATH) and
 compare; ``diff`` prints nothing when every file is byte-identical:
 
@@ -17,6 +18,15 @@ detector variant, a surface and a surface-free point.  ``validate`` keeps
 its own fixed Monte-Carlo sizes and takes only the scenario, the
 detector settings and the root seed from it, so ``validate.txt`` is the
 report of the suite at full size.
+
+``channel.txt`` holds one labeled line per draw, in ``.17g``, from each
+case of ``CHANNEL_CASES``: the warden's H1 statistic at -30 dBm through
+the pattern kernel (2048 elements, N = 5) and through the per-element
+kernel (2048 elements, N = 20, and 3 elements, N = 5), the receiver's
+jamming powers on 2048 and on 3 elements, and ``cascaded_mc`` on 2048
+elements (real and imaginary parts in turn).  The sweeps saturate their surface MDRs at 0, so a change to
+the per-element kernel shows only there; the label of each line names
+the kernel that drew it.
 
 ``detector.flow`` is the default flow: after the 17-byte header and the
 standardizer come its 20 values, four per block.  A checkout whose 1-D
@@ -30,7 +40,11 @@ import sys
 import warnings
 from pathlib import Path
 
-from discodet import cli
+import numpy as np
+
+from discodet import channel, cli
+from discodet.config import parse_config
+from discodet.statkit import SeedStream
 
 TINY_CONFIG = """\
 detector.train_size = 1500
@@ -48,6 +62,28 @@ OUTPUTS = {"sweep-power": "sweep_power.csv", "sweep-elements": "sweep_elements.c
            "sweep-samples": "sweep_samples.csv", "train": "detector.flow",
            "validate": "validate.txt"}
 
+# label -> draws from a fresh stream of that label, for a config
+CHANNEL_CASES = {
+    "willie-h1 N_D=2048 N=5 pattern": lambda gen, cfg: channel.gen_willie_statistics(
+        gen, cfg.scenario(-30.0, n_elements=2048), "H1", 8, 5),
+    "willie-h1 N_D=2048 N=20 element": lambda gen, cfg: channel.gen_willie_statistics(
+        gen, cfg.scenario(-30.0, n_elements=2048), "H1", 8, 20),
+    "willie-h1 N_D=3 N=5 element": lambda gen, cfg: channel.gen_willie_statistics(
+        gen, cfg.scenario(-30.0, n_elements=3), "H1", 8, 5),
+    "bob-jamming N_D=2048 pattern": lambda gen, cfg: channel.gen_bob_signals(
+        gen, cfg.scenario(-30.0, n_elements=2048), 8)[1],
+    "bob-jamming N_D=3 element": lambda gen, cfg: channel.gen_bob_signals(
+        gen, cfg.scenario(-30.0, n_elements=3), 8)[1],
+    "cascaded-mc N_D=2048 pattern": lambda gen, cfg: channel.cascaded_mc(
+        gen, cfg.geometry(2048), cfg.fading(), cfg.profile(), 8).view(np.float64),
+}
+
+
+def channel_lines(cfg) -> str:
+    seeds = SeedStream(cfg["seeds.root"])
+    return "".join(f"{label} {value:.17g}\n" for label, draw in CHANNEL_CASES.items()
+                   for value in draw(seeds.child(label), cfg))
+
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
@@ -64,6 +100,7 @@ def main(argv: list[str]) -> int:
             if code != 0:
                 print(f"{command} exited {code}", file=sys.stderr)
                 return code
+    (out / "channel.txt").write_text(channel_lines(parse_config(cfg_path)), encoding="utf-8")
     return 0
 
 
