@@ -142,7 +142,7 @@ def calibrate_threshold(model: flowmod.FlowModel, null: GammaNull, alpha: float,
             "tail with fewer than 100 samples; the threshold will be noisy",
             stacklevel=2)
     draws = sample_gamma(gen, null.shape, null.scale, size=n_mc)
-    values = model.log_prob(draws[:, None]) - gamma_h0_logpdf(null, draws)
+    values = model.log_prob(draws) - gamma_h0_logpdf(null, draws)
     return empirical_quantile(values, 1.0 - alpha)
 
 
@@ -184,7 +184,7 @@ def llr(detector: FittedDetector, y: np.ndarray) -> np.ndarray:
     """Log-likelihood ratio of each statistic of the 1-D array ``y``: learned
     alternative log-density minus null log-pdf."""
     y = _statistics(y)
-    return detector.flow.log_prob(y[:, None]) - gamma_h0_logpdf(detector.null, y)
+    return detector.flow.log_prob(y) - gamma_h0_logpdf(detector.null, y)
 
 
 def classify(detector: FittedDetector, y: np.ndarray) -> np.ndarray:

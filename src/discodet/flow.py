@@ -2,13 +2,15 @@
 self-contained in numpy.
 
 The flow maps a standardized statistic through a stack of blocks onto a
-standard normal latent.  In one dimension an autoregressive conditioner
-has no inputs, so each block's shift and log-scale are constants, and an
-affine stack alone would span only Gaussian shapes.  Each block therefore
-composes its affine map with a learnable monotone element-wise map
-g(u) = u + a*tanh(b*u), parameterized so a*b is in (-1, 1), which keeps
-g' > 0; with a = 0 the block is the plain affine map.  A block is thus
-four values (shift, log-scale, ea, eb).  All parameters of a model live
+standard normal latent.  Statistics come as flat (n,) arrays, and the
+standardizer is a scalar mean and deviation.  In one dimension an
+autoregressive conditioner has no inputs, so each block's shift and
+log-scale are constants, and an affine stack alone would span only
+Gaussian shapes.  Each block therefore composes its affine map with a
+learnable monotone element-wise map g(u) = u + a*tanh(b*u),
+parameterized so a*b is in (-1, 1), which keeps g' > 0; with a = 0 the
+block is the plain affine map.  A block is thus four values (shift,
+log-scale, ea, eb).  All parameters of a model live
 in one flat vector ``theta`` (their gradients in ``grad``), of which
 ``FlowModel.blocks`` is the (blocks, 4) view.
 
@@ -31,6 +33,7 @@ round, with results bit-identical to training each alone, and
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -67,6 +70,9 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:       # NaN fails too
             raise ValueError("learning rate must be positive")
+        for name in ("epochs", "batch_size", "n_blocks"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -75,25 +81,24 @@ class TrainConfig:
             raise ValueError("a flow needs at least one block")
 
 
-def standardizer_fit(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical mean and (population) standard deviation, as (1,) arrays."""
-    arr = _as_column(data)
-    if arr.shape[0] < 2:
+def standardizer_fit(data: np.ndarray) -> tuple[float, float]:
+    """Empirical mean and (population) standard deviation of finite data."""
+    arr = _flat(data)
+    if arr.size < 2:
         raise ValueError("standardizer needs at least two samples")
-    mu = arr.mean(axis=0)
-    sigma = arr.std(axis=0)
-    if np.any(sigma <= 0):
-        raise ValueError("degenerate data: zero standard deviation")
-    return mu, sigma
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("data must be finite (no NaN or inf)")
+    sigma = float(arr.std())
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"degenerate data: standard deviation {sigma}")
+    return float(arr.mean()), sigma
 
 
-def _as_column(data) -> np.ndarray:
-    """``data`` as an (n, 1) float array: one statistic per row."""
+def _flat(data) -> np.ndarray:
+    """``data`` as a flat (n,) float array of statistics."""
     arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] != 1:
-        raise ValueError(f"expected (n,) or (n, 1) data, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ValueError(f"expected (n,) data, got shape {arr.shape}")
     return arr
 
 
@@ -101,7 +106,7 @@ def _softplus(x, out=None):
     return np.logaddexp(0.0, x, out=out)
 
 
-def _clamp(s_raw, out=None):
+def _clamp(s_raw, out):
     """The log-scale clamped to +-LOG_SCALE_CLAMP: ``np.clip``'s values
     (NaN passes through), without its Python-level dispatch."""
     out = np.maximum(s_raw, -LOG_SCALE_CLAMP, out=out)
@@ -140,8 +145,8 @@ class FlowModel:
             storage = np.zeros((2, self.n_params(n_blocks)))
         self.theta, self.grad = storage
         self.blocks = self.theta.reshape(n_blocks, 4)   # (shift, log-scale, ea, eb)
-        self.mu_std = np.asarray(mu_std, dtype=float).reshape(1)
-        self.sigma_std = np.asarray(sigma_std, dtype=float).reshape(1)
+        self.mu_std = float(mu_std)
+        self.sigma_std = float(sigma_std)
 
     @staticmethod
     def n_params(n_blocks: int) -> int:
@@ -153,17 +158,15 @@ class FlowModel:
     def _standardize(self, y):
         """Standardized data and the standardizer's per-sample logdet
         -log(sigma_std): the input of the first block."""
-        arr = _as_column(y)
-        logdet = np.full(arr.shape[0], -np.log(self.sigma_std).sum())
-        return (arr - self.mu_std) / self.sigma_std, logdet
+        x = (_flat(y) - self.mu_std) / self.sigma_std
+        return x, np.full(x.shape, -np.log(self.sigma_std))
 
     def forward(self, y):
         """Map data to latent; returns (z, per-sample logdet).  No block
         cache outlives its block."""
         x, logdet = self._standardize(y)
         c, _ = _block_values(_conditioner_1d(self.blocks[None]), 0)
-        z, logdet, _ = _chain_1d(x[:, 0], c, logdet)
-        return z[:, None], logdet
+        return _chain_1d(x, c, logdet)[:2]
 
     def log_prob(self, y) -> np.ndarray:
         z, logdet = self.forward(y)
@@ -172,25 +175,25 @@ class FlowModel:
     def inverse(self, z) -> np.ndarray:
         """Map latent to data: each block's enrichment inverse, then its
         affine inverse, in reverse block order."""
-        x = _as_column(z)
-        for shift, s_raw, ea_raw, eb_raw in self.blocks[::-1, :, None]:
-            b = _softplus(eb_raw)
-            u = _enrich_inverse(x, np.tanh(ea_raw) / b, b)
-            x = shift + u * np.exp(_clamp(s_raw))
+        x = _flat(z)
+        c, _ = _block_values(_conditioner_1d(self.blocks[None]), 0)
+        for k in reversed(range(len(self.blocks))):
+            u = _enrich_inverse(x, c["a"][k], c["b"][k])
+            x = c["mu"][k] + u * np.exp(c["s"][k])
         return x * self.sigma_std + self.mu_std
 
 
 def _base_log_prob(z: np.ndarray) -> np.ndarray:
-    """The standard normal log-density of the (n, 1) latents ``z``."""
-    return -0.5 * (z * z).sum(axis=1) - 0.5 * math.log(2 * math.pi)
+    """The standard normal log-density of each latent in ``z``."""
+    return -0.5 * (z * z) - 0.5 * math.log(2 * math.pi)
 
 
 def nll(model: FlowModel, batch) -> float:
     """Average negative log-likelihood over the batch."""
-    arr = _as_column(batch)
-    if arr.shape[0] == 0:
+    log_prob = model.log_prob(batch)
+    if log_prob.size == 0:
         raise ValueError("nll requires a non-empty batch")
-    return float(-model.log_prob(arr).mean())
+    return float(-log_prob.mean())
 
 
 def grad_nll(model: FlowModel, batch) -> float:
@@ -198,10 +201,10 @@ def grad_nll(model: FlowModel, batch) -> float:
     ``model.grad``.  The gradient is the training step's, ``_grad_1d``,
     on one model."""
     x, _ = model._standardize(batch)
-    if x.shape[0] == 0:
+    if x.size == 0:
         raise ValueError("grad_nll requires a non-empty batch")
     model.grad[:] = 0.0
-    _grad_1d(model.theta[None], model.grad[None], [x[:, 0]])
+    _grad_1d(model.theta[None], model.grad[None], [x])
     return nll(model, batch)
 
 
@@ -411,12 +414,12 @@ def train_many(datasets, configs) -> list[FlowModel]:
 
 class _Fit:
     """One model's data and schedule in a lockstep run: its hold-out split,
-    its training rows (standardized, as one 1-D array), its shuffle
-    stream and its best-epoch snapshot."""
+    its standardized training rows, its shuffle stream and its best-epoch
+    snapshot."""
 
     def __init__(self, data, config: TrainConfig):
-        arr = _as_column(data)
-        n = arr.shape[0]
+        arr = _flat(data)
+        n = arr.size
         if n < max(2, config.batch_size // 8):
             raise ValueError(f"not enough training samples ({n})")
         self.config = config
@@ -427,12 +430,12 @@ class _Fit:
         n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
         self.hold = arr[perm[:n_hold]]
         tr = arr[perm[n_hold:]]
-        if tr.shape[0] == 0:
+        if tr.size == 0:
             raise ValueError("holdout split left no training data")
         # the lockstep step takes standardized rows; grad_nll standardizes its own
-        self.rows = ((tr - self.mu_std) / self.sigma_std)[:, 0]
-        self.batch_size = min(config.batch_size, tr.shape[0])
-        self.per_epoch = -(-tr.shape[0] // self.batch_size)
+        self.rows = (tr - self.mu_std) / self.sigma_std
+        self.batch_size = min(config.batch_size, tr.size)
+        self.per_epoch = -(-tr.size // self.batch_size)
         self.n_steps = config.epochs * self.per_epoch
 
     def start(self, storage) -> None:
@@ -446,7 +449,7 @@ class _Fit:
         shuffled rows, which its first step draws."""
         j = step % self.per_epoch
         if j == 0:
-            self.shuffled = self.rows[self.shuffle_gen.permutation(self.rows.shape[0])]
+            self.shuffled = self.rows[self.shuffle_gen.permutation(self.rows.size)]
         return self.shuffled[j * self.batch_size:(j + 1) * self.batch_size]
 
     def after(self, step: int) -> None:
@@ -515,20 +518,17 @@ def _grad_1d(theta: np.ndarray, grad: np.ndarray, batches: list[np.ndarray]) -> 
 
 # -- serialization ----------------------------------------------------------
 
-_MAGIC = b"DSCFLOW1"
+_MAGIC = b"DSCFLOW2"
 
 
 def save_flow(model: FlowModel, path) -> None:
-    """Versioned flat binary layout: magic, a 17-byte architecture header
-    (dim 1, block count, network-layer count 0, enrichment flag 1, layer
-    width 0), the standardizer, then ``theta`` (each block's four values in
-    order) as little-endian float64.  Loading reproduces log-densities
-    bit-identically."""
+    """Versioned flat binary layout: magic, the block count as a
+    little-endian uint32, then the standardizer's mean and deviation and
+    ``theta`` (each block's four values in order) as little-endian
+    float64.  Loading reproduces log-densities bit-identically."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIBI", 1, len(model.blocks), 0, 1, 0))
-        fh.write(model.mu_std.astype("<f8").tobytes())
-        fh.write(model.sigma_std.astype("<f8").tobytes())
+        fh.write(struct.pack("<I2d", len(model.blocks), model.mu_std, model.sigma_std))
         fh.write(model.theta.astype("<f8").tobytes())
 
 
@@ -541,19 +541,10 @@ def load_flow(path) -> FlowModel:
             return fh.read(n_bytes)
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a serialized flow model")
-        dim, n_blocks, n_layers, enrich, width = struct.unpack("<IIIBI", read(17, "header"))
-        if dim != 1:
-            raise ValueError(f"{path}: a {dim}-dimensional flow; only 1-D flows are supported")
-        if n_layers or width:
-            raise ValueError(f"{path}: a 1-dimensional flow block has no network layer,"
-                             f" got {n_layers} of width {width}")
-        if enrich != 1:
-            raise ValueError(f"{path}: enrichment flag must be 1 for a 1-dimensional flow,"
-                             f" got {enrich}")
+        n_blocks, = struct.unpack("<I", read(4, "block count"))
         if n_blocks < 1:
             raise ValueError(f"{path}: a flow needs at least one block")
-        mu_std = np.frombuffer(read(8, "standardizer"), dtype="<f8").copy()
-        sigma_std = np.frombuffer(read(8, "standardizer"), dtype="<f8").copy()
+        mu_std, sigma_std = struct.unpack("<2d", read(16, "standardizer"))
         raw = read(8 * FlowModel.n_params(n_blocks), "parameter data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")

@@ -87,8 +87,8 @@ def sample_gamma(gen: np.random.Generator, shape: int, scale: float, size: int) 
     """
     if int(shape) != shape or shape < 1:
         raise ValueError(f"shape must be a positive integer, got {shape}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:     # NaN fails too
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return gen.exponential(scale, size=(size, int(shape))).sum(axis=1)
 
 

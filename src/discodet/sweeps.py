@@ -285,9 +285,9 @@ def autoregressive_check(model: flow.FlowModel, y: np.ndarray, step: float = 1e-
     increasing, and each logdet is log|dz/dy| by central differences
     within ``tol``.  Returns (passed, worst logdet error)."""
     z, logdet = model.forward(y)
-    slope = (model.forward(y + step)[0] - model.forward(y - step)[0])[:, 0] / (2 * step)
+    slope = (model.forward(y + step)[0] - model.forward(y - step)[0]) / (2 * step)
     worst = float(np.max(np.abs(np.log(np.abs(slope)) - logdet)))
-    return bool(np.all(np.diff(z[:, 0]) > 0)) and worst <= tol, worst
+    return bool(np.all(np.diff(z) > 0)) and worst <= tol, worst
 
 
 def _flow_checks(root: statkit.SeedStream) -> list[ValidationCheck]:
@@ -296,11 +296,11 @@ def _flow_checks(root: statkit.SeedStream) -> list[ValidationCheck]:
     gen = root.child("validate/flow-probe")
     model = flow.FlowModel(3)
     model.theta += 0.2 * gen.standard_normal(model.theta.size)
-    y = np.sort(gen.standard_normal(64))[:, None]
+    y = np.sort(gen.standard_normal(64))
     ok, worst = autoregressive_check(model, y)
     checks = [ValidationCheck("flow_autoregressive", ok,
                               f"z(y) increasing, logdet = log|dz/dy|: worst error {worst:.2e}")]
-    ok, worst = _gradient_check(model, gen.standard_normal((8, 1)))
+    ok, worst = _gradient_check(model, gen.standard_normal(8))
     checks.append(ValidationCheck("flow_gradients", ok,
                                   f"worst finite-difference mismatch {worst:.2e}"))
     z, _ = model.forward(y)
@@ -309,7 +309,7 @@ def _flow_checks(root: statkit.SeedStream) -> list[ValidationCheck]:
                                   f"max inverse(forward(y)) error {round_trip:.2e}"))
     # the window is the image of the latent [-10, 10], which holds all but
     # ~1e-23 of the mass wherever the flow puts it
-    lo, hi = model.inverse(np.array([-10.0, 10.0]))[:, 0]
+    lo, hi = model.inverse(np.array([-10.0, 10.0]))
     grid = np.linspace(lo, hi, 4001)
     mass = float(np.trapezoid(np.exp(model.log_prob(grid)), grid))
     checks.append(ValidationCheck("flow_normalization", abs(mass - 1.0) < 1e-3,

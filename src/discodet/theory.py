@@ -36,8 +36,8 @@ class GammaNull:
     def __post_init__(self):
         if int(self.shape) != self.shape or self.shape < 1:
             raise ValueError(f"shape must be a positive integer, got {self.shape}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:     # NaN fails too
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 def _log_gamma_int(n: int) -> float:

@@ -138,7 +138,7 @@ class TestCriterion04FlowSuite:
         ok = True
         model = flow.FlowModel(3)
         model.theta += 0.2 * gen.standard_normal(model.theta.size)
-        batch = gen.standard_normal((6, 1))
+        batch = gen.standard_normal(6)
         flow.grad_nll(model, batch)
         theta, grad = model.theta, model.grad.copy()
         for i in range(theta.size):
@@ -161,7 +161,7 @@ class TestCriterion04FlowSuite:
         model = flow.FlowModel(4)
         gen = np.random.default_rng(6)
         model.theta += 0.3 * gen.standard_normal(model.theta.size)
-        y = gen.standard_normal((256, 1)) * 3
+        y = gen.standard_normal(256) * 3
         z, _ = model.forward(y)
         err = float(np.max(np.abs(model.inverse(z) - y)))
         report("4b", "inverse-of-forward round trip within 1e-9",
@@ -184,7 +184,7 @@ class TestCriterion04FlowSuite:
         model = flow.train(data, flow.TrainConfig(seed=15, epochs=200))
         grid = np.linspace(1e-3, 25.0, 512)
         p_true = stats.gamma(a=5).pdf(grid)
-        p_fit = np.exp(model.log_prob(grid[:, None]))
+        p_fit = np.exp(model.log_prob(grid))
         tv = 0.5 * float(np.trapezoid(np.abs(p_true - p_fit), grid))
         report("4d", "Gamma(5,1) fit within 0.05 total variation on a "
                      "512-point grid", tv <= 0.05, f"TV {tv:.4f}")

@@ -41,8 +41,8 @@ def finite_diff_check(model, batch, step=1e-5, rel_tol=1e-4, abs_tol=1e-7):
 class TestStandardizer:
     def test_fit(self):
         mu, sigma = standardizer_fit(np.array([1.0, 3.0]))
-        np.testing.assert_allclose(mu, [2.0])
-        np.testing.assert_allclose(sigma, [1.0])
+        assert (type(mu), type(sigma)) == (float, float)
+        assert (mu, sigma) == (2.0, 1.0)
 
     def test_degenerate(self):
         with pytest.raises(ValueError):
@@ -54,13 +54,13 @@ class TestStandardizer:
 class TestIdentityInit:
     def test_log_prob_is_standard_normal_at_init(self):
         model = FlowModel(4)
-        x = np.random.default_rng(0).standard_normal((32, 1))
-        expected = -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi)
+        x = np.random.default_rng(0).standard_normal(32)
+        expected = -0.5 * x ** 2 - 0.5 * math.log(2 * math.pi)
         np.testing.assert_allclose(model.log_prob(x), expected, atol=1e-12)
 
     def test_forward_is_identity_at_init(self):
         model = FlowModel(5)
-        x = np.random.default_rng(1).standard_normal((16, 1))
+        x = np.random.default_rng(1).standard_normal(16)
         z, _ = model.forward(x)
         np.testing.assert_allclose(z, x, atol=1e-12)
 
@@ -72,7 +72,7 @@ class TestAutoregressive:
     @pytest.mark.parametrize("n_blocks,scale", [(1, 0.3), (3, 0.1), (5, 0.3)])
     def test_perturbed_flows_pass(self, n_blocks, scale):
         model = perturbed_model(n_blocks=n_blocks, scale=scale)
-        y = np.sort(np.random.default_rng(2).standard_normal(64))[:, None]
+        y = np.sort(np.random.default_rng(2).standard_normal(64))
         ok, worst = autoregressive_check(model, y)
         assert ok and worst < 1e-6
 
@@ -196,15 +196,15 @@ class TestScalarPath:
     @pytest.mark.parametrize("n", [64, 8])
     def test_matches_block_loop(self, n, n_blocks):
         model = perturbed_model(n_blocks=n_blocks, scale=0.3)
-        model.mu_std[:] = 0.5
-        model.sigma_std[:] = 2.0
+        model.mu_std = 0.5
+        model.sigma_std = 2.0
         if n_blocks > 1:
             model.blocks[-1, LOG_SCALE] = 30.0
             model.blocks[0, LOG_SCALE] = -30.0
         theta = model.theta[None]
         cond = reference_conditioner(per_parameter(theta))
-        y = np.random.default_rng(n).standard_normal((n, 1)) * 2 + 0.5
-        x = (y[:, 0] - 0.5) / 2.0
+        y = np.random.default_rng(n).standard_normal(n) * 2 + 0.5
+        x = (y - 0.5) / 2.0
         z, logdet, _ = reference_forward(cond, 0, x)
         log_prob = -0.5 * z * z - 0.5 * math.log(2 * math.pi) - math.log(2.0) + logdet
         np.testing.assert_allclose(model.log_prob(y), log_prob, rtol=1e-12, atol=1e-14)
@@ -257,7 +257,7 @@ class TestRowChain:
 class TestGradients:
     def test_dim1_with_enrichment(self):
         model = perturbed_model(scale=0.3)
-        batch = np.random.default_rng(4).standard_normal((8, 1))
+        batch = np.random.default_rng(4).standard_normal(8)
         finite_diff_check(model, batch)
 
 
@@ -266,21 +266,21 @@ class TestInversion:
     def test_roundtrip(self, n_blocks, standardize):
         model = perturbed_model(scale=0.3, n_blocks=n_blocks)
         if standardize:
-            model.mu_std[:] = 1.5
-            model.sigma_std[:] = 2.0
-        y = np.random.default_rng(6).standard_normal((64, 1)) * 2 + 1
+            model.mu_std = 1.5
+            model.sigma_std = 2.0
+        y = np.random.default_rng(6).standard_normal(64) * 2 + 1
         z, _ = model.forward(y)
         np.testing.assert_allclose(model.inverse(z), y, atol=1e-9)
 
     def test_logdet_consistency(self):
         # numerical Jacobian of the 1-D transform must match the reported logdet
         model = perturbed_model(scale=0.3)
-        y = np.array([[0.7]])
+        y = np.array([0.7])
         _, logdet = model.forward(y)
         h = 1e-6
         z_up, _ = model.forward(y + h)
         z_dn, _ = model.forward(y - h)
-        deriv = (z_up[0, 0] - z_dn[0, 0]) / (2 * h)
+        deriv = (z_up[0] - z_dn[0]) / (2 * h)
         assert math.log(abs(deriv)) == pytest.approx(float(logdet[0]), abs=1e-6)
 
 
@@ -299,7 +299,7 @@ class TestTraining:
         model = train(data, TrainConfig(seed=13, epochs=40))
         fitted = nll(model, data)
         mu, sigma = standardizer_fit(data)
-        gauss_nll = 0.5 * math.log(2 * math.pi * float(sigma[0]) ** 2) + 0.5
+        gauss_nll = 0.5 * math.log(2 * math.pi * sigma ** 2) + 0.5
         assert fitted < gauss_nll - 0.005
 
     def test_determinism(self):
@@ -325,6 +325,16 @@ class TestTraining:
     def test_sizes_must_be_positive(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kwargs)
+
+    # unchecked, each builds and training dies in numpy with a TypeError
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", 2.5), ("batch_size", math.nan), ("batch_size", 64.5), ("n_blocks", 2.5),
+        ("epochs", 3.0),
+    ], ids=["epochs=2.5", "batch_size=nan", "batch_size=64.5", "n_blocks=2.5", "epochs=3.0"])
+    def test_sizes_must_be_integers(self, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{name: value})
 
 
 def ragged_sets():
@@ -354,8 +364,7 @@ class TestTrainMany:
         for (data, config), got in zip(sets, many):
             ref = train(data, config)
             np.testing.assert_array_equal(got.theta, ref.theta)
-            np.testing.assert_array_equal(got.mu_std, ref.mu_std)
-            np.testing.assert_array_equal(got.sigma_std, ref.sigma_std)
+            assert (got.mu_std, got.sigma_std) == (ref.mu_std, ref.sigma_std)
 
     def test_step_gradient_is_grad_nll(self):
         # one lockstep gradient for three models, two in a row group and one
@@ -389,10 +398,15 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("bad,message", [
         (np.array([1.0, 2.0]), "not enough training samples (2)"),
-        (np.ones((40, 1, 1)), "expected (n,) or (n, 1) data, got shape (40, 1, 1)"),
-        (np.ones((40, 2)), "expected (n,) or (n, 1) data, got shape (40, 2)"),
+        (np.ones((40, 1, 1)), "expected (n,) data, got shape (40, 1, 1)"),
+        (np.ones((40, 1)), "expected (n,) data, got shape (40, 1)"),
         (np.ones(40), "degenerate data"),
-    ], ids=["too-few", "shape", "columns", "degenerate"])
+        # unchecked, a non-finite statistic gives a NaN standardizer and
+        # train returns the untrained init without an error
+        (np.r_[np.arange(39.0), math.nan], "data must be finite"),
+        (np.r_[np.arange(39.0), math.inf], "data must be finite"),
+        (np.r_[np.arange(39.0), -math.inf], "data must be finite"),
+    ], ids=["too-few", "shape", "columns", "degenerate", "nan", "inf", "-inf"])
     def test_bad_dataset_raises_before_training(self, monkeypatch, bad, message):
         built = []
 
@@ -417,12 +431,12 @@ class TestTrainMany:
 class TestSerialization:
     def test_bit_identical_roundtrip(self, tmp_path):
         model = perturbed_model()
-        model.mu_std[:] = 4.2
-        model.sigma_std[:] = 0.7
+        model.mu_std = 4.2
+        model.sigma_std = 0.7
         path = tmp_path / "model.flow"
         save_flow(model, path)
         loaded = load_flow(path)
-        y = np.random.default_rng(9).standard_normal((100, 1))
+        y = np.random.default_rng(9).standard_normal(100)
         np.testing.assert_array_equal(loaded.log_prob(y), model.log_prob(y))
 
     def test_bad_magic(self, tmp_path):
@@ -431,17 +445,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_flow(path)
 
-    # byte offsets in a file: magic (8), the architecture header (17; its
-    # last 4 bytes, where "hidden" cuts, are the layer width), the
-    # standardizer (16)
-    @pytest.mark.parametrize("cut", [12, 8 + 13 + 2, 8 + 17 + 12, -8],
-                             ids=["header", "hidden", "standardizer", "theta"])
-    def test_truncated(self, tmp_path, cut):
+    def test_dscflow1_rejected(self, tmp_path):
+        # a default flow in the layout before this one: magic, a 17-byte
+        # header (dim 1, 5 blocks, no network layer, enrichment flag 1,
+        # width 0), the standardizer and 20 values
+        path = tmp_path / "model.flow"
+        path.write_bytes(bytes.fromhex("445343464c4f5731" "01000000" "05000000" "00000000"
+                                       "01" "00000000")
+                         + np.r_[0.0, 1.0, np.zeros(20)].astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a serialized flow model")):
+            load_flow(path)
+
+    # byte offsets in a file: magic (8), the block count (4), the
+    # standardizer's mean (8) and deviation (8), then theta
+    @pytest.mark.parametrize("cut,what", [(10, "block count"), (8 + 4 + 4, "standardizer"),
+                                          (8 + 4 + 8 + 4, "standardizer"),
+                                          (-8, "parameter data")],
+                             ids=["header", "standardizer", "deviation", "theta"])
+    def test_truncated(self, tmp_path, cut, what):
         model = perturbed_model()
         path = tmp_path / "model.flow"
         save_flow(model, path)
         path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated {what}")):
             load_flow(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -456,8 +482,7 @@ class TestSerialization:
         # the header claims 2**28 blocks with no parameters behind them:
         # rejected without building the model
         path = tmp_path / "model.flow"
-        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 1, 2**28, 0, 1, 0)
-                         + np.array([0.0, 1.0]).astype("<f8").tobytes())
+        path.write_bytes(b"DSCFLOW2" + struct.pack("<I2d", 2**28, 0.0, 1.0))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=re.escape(f"{path}: truncated parameter")):
@@ -467,49 +492,36 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 5e6
 
-    # complete files (as many values as a header of at most one network
-    # layer per block asks for) whose header asks for another dimension
-    # than 1, no block, a network layer, or no enrichment; "dim1-layer" is
-    # a default 1-D flow in the layout where its blocks had a 64-wide
-    # layer (1,300 values)
-    @pytest.mark.parametrize("dim,n_blocks,layers,width,enrich,match", [
-        (0, 1, 0, 0, 1, "a 0-dimensional flow"),
-        (1, 0, 0, 0, 1, "a flow needs at least one block"),
-        (1, 2, 1, 0, 1, "a 1-dimensional flow block has no network layer, got 1 of width 0"),
-        (1, 2, 0, 0, 7, "enrichment flag must be 1 for a 1-dimensional flow, got 7"),
-        (1, 2, 2, 8, 1, "a 1-dimensional flow block has no network layer, got 2 of width 8"),
-        (2, 2, 1, 8, 1, "a 2-dimensional flow"),
-        (1, 5, 1, 64, 1, "a 1-dimensional flow block has no network layer, got 1 of width 64"),
-        (1, 2, 0, 8, 1, "a 1-dimensional flow block has no network layer, got 0 of width 8"),
-    ], ids=["zero-dim", "no-blocks", "zero-width", "enrichment-flag", "two-layers",
-            "dim2-flag1", "dim1-layer", "dim1-width"])
-    def test_bad_architecture_rejected(self, tmp_path, dim, n_blocks, layers, width, enrich,
-                                       match):
-        block = ((dim + 1) * width + 2 * (width * dim + dim) + 2 * dim * (enrich == 1)
-                 if layers else 4 * dim)
+    # a block count of 0, with a standardizer behind it or none: the count
+    # is checked before the standardizer is read
+    @pytest.mark.parametrize("body", [struct.pack("<2d", 0.0, 1.0), b""],
+                             ids=["no-blocks", "no-blocks-bare"])
+    def test_bad_architecture_rejected(self, tmp_path, body):
         path = tmp_path / "model.flow"
-        path.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", dim, n_blocks, layers, enrich, width)
-                         + np.zeros(2 * dim + n_blocks * block).astype("<f8").tobytes())
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + match):
+        path.write_bytes(b"DSCFLOW2" + struct.pack("<I", 0) + body)
+        message = f"{path}: a flow needs at least one block"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_flow(path)
 
     def test_file_bytes_unchanged(self, tmp_path):
-        # a file is byte for byte what the format wrote when the flow still
-        # had a multi-dimensional architecture beside the 1-D one
+        # the header is the magic and the block count; the rest is byte for
+        # byte what the DSCFLOW1 layout wrote after its 17-byte header
         model = perturbed_model(seed=11)
-        model.mu_std[:] = 1.5
-        model.sigma_std[:] = 0.5
+        model.mu_std = 1.5
+        model.sigma_std = 0.5
         path = tmp_path / "model.flow"
         save_flow(model, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "8797dfe57430595470816e73818328cb3b79e84ecc8f905164245323b69528c1"
+        data = path.read_bytes()
+        assert data[:12] == b"DSCFLOW2" + bytes([3, 0, 0, 0])
+        assert hashlib.sha256(data[12:]).hexdigest() == \
+            "d0348d8207adabee12a9d7dcba44c585d1c7a7c481f6d4190c1920f467da94e3"
 
     @pytest.mark.parametrize("n_blocks", [1, 3])
     def test_body_is_theta(self, tmp_path, n_blocks):
         model = perturbed_model(n_blocks=n_blocks)
         path = tmp_path / "model.flow"
         save_flow(model, path)
-        header = len(b"DSCFLOW1") + 17 + 2 * 8
+        header = len(b"DSCFLOW2") + 4 + 2 * 8
         assert path.read_bytes()[header:] == model.theta.astype("<f8").tobytes()
 
 
@@ -530,12 +542,12 @@ class TestFlatParameters:
 
     def test_grad_nll_fills_grad_in_place(self, model):
         grad = model.grad
-        batch = np.random.default_rng(3).standard_normal((6, 1))
+        batch = np.random.default_rng(3).standard_normal(6)
         loss = grad_nll(model, batch)
         assert type(loss) is float and loss == nll(model, batch)
         assert model.grad is grad and np.any(grad != 0.0)
         expected = np.zeros((1, grad.size))
-        flow._grad_1d(model.theta[None], expected, [batch[:, 0]])
+        flow._grad_1d(model.theta[None], expected, [batch])
         np.testing.assert_array_equal(grad, expected[0])
 
 
@@ -584,19 +596,19 @@ class TestNumerics:
     def test_log_scale_clamp_keeps_finite(self):
         model = perturbed_model()
         model.blocks[0, LOG_SCALE] = 50.0     # would overflow without clamping
-        out = model.log_prob(np.array([[1e3], [-1e3], [0.0]]))
+        out = model.log_prob(np.array([1e3, -1e3, 0.0]))
         assert np.all(np.isfinite(out))
 
     def test_nll_empty_batch(self):
         model = FlowModel(5)
         with pytest.raises(ValueError):
-            nll(model, np.empty((0, 1)))
+            nll(model, np.empty(0))
 
     def test_log_prob_keeps_no_block_cache(self):
         # scoring holds one block's temporaries at a time (about nine arrays
         # of the rows at the peak), not a stacked (blocks, rows) cache
         model = perturbed_model(n_blocks=5)
-        y = np.random.default_rng(3).standard_normal((100_000, 1))
+        y = np.random.default_rng(3).standard_normal(100_000)
         tracemalloc.start()
         try:
             model.log_prob(y)
@@ -610,3 +622,11 @@ class TestNumerics:
         model = perturbed_model()
         with pytest.raises(ValueError, match=re.escape("got shape (10, 4)")):
             model.log_prob(np.ones((10, 4)))
+
+    # a statistic is a flat (n,) array: a column is rejected, not reshaped
+    @pytest.mark.parametrize("call", [nll, grad_nll, lambda m, y: m.forward(y),
+                                      lambda m, y: m.inverse(y)],
+                             ids=["nll", "grad_nll", "forward", "inverse"])
+    def test_column_rejected(self, call):
+        with pytest.raises(ValueError, match=re.escape("expected (n,) data, got shape (4, 1)")):
+            call(FlowModel(1), np.ones((4, 1)))

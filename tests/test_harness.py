@@ -172,7 +172,7 @@ class TestValidationSuite:
     def probe_model_and_batch():
         model = flow.FlowModel(2)
         model.theta += 0.2 * SeedStream(3).child("theta").standard_normal(model.theta.size)
-        batch = SeedStream(4).child("grad").standard_normal((6, 1))
+        batch = SeedStream(4).child("grad").standard_normal(6)
         assert sweeps._gradient_check(model, batch)[0]
         return model, batch
 
@@ -333,14 +333,13 @@ class TestCli:
         assert re.fullmatch(r"wrote 2 rows to a\.csv \(\d+\.\ds\)\n", a.stdout)
 
     def test_train_writes_default_architecture(self, tmp_path):
-        # the flow the default config builds: dim 1, five blocks of four
-        # values with no hidden layer (count 0, width 0), enrichment on
+        # the flow the default config builds: five blocks of four values
         cfgfile = tmp_path / "tiny.cfg"
         cfgfile.write_text(TINY_CONFIG)
         model = tmp_path / "model.flow"
         with pytest.warns(UserWarning):     # tiny n_threshold triggers the warning
             assert cli.main(["train", "--config", str(cfgfile), "--out", str(model)]) == 0
-        header = b"DSCFLOW1" + struct.pack("<IIIBI", 1, 5, 0, 1, 0)
+        header = b"DSCFLOW2" + struct.pack("<I", 5)
         data = model.read_bytes()
         assert data[:len(header)] == header
         assert len(data) == len(header) + 8 * (2 + 20)     # the standardizer, then theta
@@ -363,9 +362,10 @@ class TestCli:
         cfgfile.write_text(TINY_CONFIG)
         model = tmp_path / "dim2.flow"
         # the header and standardizer of a two-dimensional flow with one
-        # 8-wide network layer per block; its body is never read
+        # 8-wide network layer per block, in the DSCFLOW1 layout that
+        # carried a dimension; its body is never read
         model.write_bytes(b"DSCFLOW1" + struct.pack("<IIIBI", 2, 2, 1, 0, 8)
                           + np.zeros(4).astype("<f8").tobytes())
         res = run_cli(["eval", "--config", str(cfgfile), "--model", str(model)], tmp_path)
         assert res.returncode == 1
-        assert "error:" in res.stderr and "2-dimensional" in res.stderr
+        assert "error:" in res.stderr and "not a serialized flow model" in res.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,13 @@ class TestSampleGamma:
             sample_gamma(gen, 2.5, 1.0, size=1)
         with pytest.raises(ValueError):
             sample_gamma(gen, 2, 0.0, size=1)
+
+    # unchecked, a NaN scale draws NaN and an infinite one inf
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale(self, scale):
+        message = f"scale must be positive and finite, got {scale}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_gamma(SeedStream(2).child("g"), 5, scale, size=3)
 
 
 class TestEmpiricalQuantile:

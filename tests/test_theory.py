@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestGammaH0Logpdf:
             GammaNull(5, 0.0)
         with pytest.raises(ValueError):
             GammaNull(5, math.nan)
+
+    # unchecked, an infinite scale builds, its radiometer threshold is inf
+    # and its log-density -inf everywhere
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale(self, scale):
+        message = f"scale must be positive and finite, got {scale}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GammaNull(5, scale)
 
 
 # 0 to past 2N, then past 745, where e^{-x} alone underflows to 0

@@ -28,10 +28,12 @@ elements (real and imaginary parts in turn).  The sweeps saturate their surface 
 the per-element kernel shows only there; the label of each line names
 the kernel that drew it.
 
-``detector.flow`` is the default flow: after the 17-byte header and the
-standardizer come its 20 values, four per block.  A checkout whose 1-D
-blocks still carried a network layer wrote 1,300 values there; compare
-such a file by its live values, not by bytes.
+``detector.flow`` is the default flow: after the magic, the block count
+and the standardizer come its 20 values, four per block.  A checkout
+that writes the ``DSCFLOW1`` layout puts a 17-byte header where the
+block count is, and one whose 1-D blocks still carried a network layer
+wrote 1,300 values; compare such files by what follows the header, or
+by their live values, not by whole bytes.
 """
 
 from __future__ import annotations
