@@ -12,8 +12,8 @@ from .channel import (DrisProfile, Geometry, LinkFading, PathLoss, Scenario,
 from .config import (DEFAULT_CONFIG, ConfigError, ScenarioConfig, dump_config,
                      parse_config, parse_config_text)
 from .detector import (DetectionReport, DetectorConfig, FittedDetector,
-                       ObservationBatch, classify, evaluate, fit_supervised,
-                       fit_unsupervised, llr, prefilter)
+                       ObservationBatch, calibrate, classify, evaluate, llr,
+                       prefilter)
 from .flow import FlowModel, TrainConfig, load_flow, save_flow, train
 from .statkit import SeedStream, binomial_ci, empirical_quantile, sample_gamma
 from .sweeps import SweepResult, emit_csv, run_sweep, run_validation
@@ -30,8 +30,7 @@ __all__ = [
     "DEFAULT_CONFIG", "ConfigError", "ScenarioConfig", "dump_config",
     "parse_config", "parse_config_text",
     "DetectionReport", "DetectorConfig", "FittedDetector", "ObservationBatch",
-    "classify", "evaluate", "fit_supervised", "fit_unsupervised", "llr",
-    "prefilter",
+    "calibrate", "classify", "evaluate", "llr", "prefilter",
     "FlowModel", "TrainConfig", "load_flow", "save_flow", "train",
     "SeedStream", "binomial_ci", "empirical_quantile", "sample_gamma",
     "SweepResult", "emit_csv", "run_sweep", "run_validation",

@@ -55,8 +55,6 @@ def _load_config(args):
     if args.alpha is not None:
         cfg = cfg.with_overrides(detector__alpha=args.alpha)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be a 64-bit unsigned integer")
         cfg = cfg.with_overrides(seeds__root=args.seed)
     return cfg
 
@@ -94,11 +92,11 @@ def _cmd_train(args) -> int:
     seeds = SeedStream(cfg["seeds.root"]).derive("cli-train")
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
     fit = sweeps._draw_fit(cfg, seeds, scen, cfg.detector_config(), "unsup")
-    model, = detector.fit_flows([fit.statistics], [fit.train_config])
-    det = fit.calibrated(model)
-    flow.save_flow(det.flow, args.out)
+    model = flow.train(fit.statistics, fit.train_config)
+    det = detector.calibrate(model, fit.null, fit.dcfg, fit.calib_gen)
+    flow.save_flow(model, args.out)
     print(f"saved model to {args.out} "
-          f"(threshold {det.threshold:.6g}, trained on {det.n_train} samples)")
+          f"(threshold {det.threshold:.6g}, trained on {len(fit.statistics)} samples)")
     return 0
 
 

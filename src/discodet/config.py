@@ -132,6 +132,8 @@ class ScenarioConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
+        if not 0 <= v["seeds.root"] < 2**64:
+            raise ConfigError("seeds.root must be a 64-bit unsigned integer")
         if not 0 <= v["detector.mixture_h1"] <= 1:
             raise ConfigError("detector.mixture_h1 must lie in [0, 1]")
         if not 0 < v["detector.alpha"] < 1:

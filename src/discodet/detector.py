@@ -5,7 +5,9 @@ Gamma distributed when the transmitter is silent); the alternative side
 is learned by a masked autoregressive flow.  The unsupervised variant
 first discards the fraction of observations most likely under the null,
 then fits the flow on the remainder; the threshold on the log-likelihood
-ratio is calibrated by Monte Carlo against the analytic null.
+ratio is calibrated by Monte Carlo against the analytic null.  These
+three stages, ``prefilter``, ``flow.train`` (or the lockstep
+``flow.train_many``) and ``calibrate``, are the whole fitting API.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ __all__ = [
     "DetectionReport",
     "prefilter",
     "calibrate",
-    "fit_flows",
-    "fit_unsupervised",
-    "fit_supervised",
     "llr",
     "calibrate_threshold",
     "classify",
@@ -39,7 +38,8 @@ __all__ = [
 @dataclass
 class ObservationBatch:
     """Labeled evaluation statistics: ``h0`` drawn while the transmitter is
-    silent, ``h1`` while it transmits.  No fit ever takes labels."""
+    silent, ``h1`` while it transmits, neither half empty.  No fit ever
+    takes labels."""
 
     h0: np.ndarray
     h1: np.ndarray
@@ -47,6 +47,8 @@ class ObservationBatch:
     def __post_init__(self):
         self.h0 = _statistics(self.h0)
         self.h1 = _statistics(self.h1)
+        if self.h0.size == 0 or self.h1.size == 0:
+            raise ValueError("an evaluation batch needs both H0 and H1 statistics")
 
     def __len__(self) -> int:
         return self.h0.size + self.h1.size
@@ -87,21 +89,16 @@ class FittedDetector:
     flow: flowmod.FlowModel
     null: GammaNull
     threshold: float
-    n_train: int | None = None   # statistics the flow was fitted on; None if loaded
 
 
 @dataclass
 class DetectionReport:
-    """Empirical error rates with Wilson confidence intervals.
+    """Empirical error rates with Wilson confidence intervals."""
 
-    A rate is None when the evaluation batch contains no sample of the
-    corresponding hypothesis.
-    """
-
-    far: float | None
-    far_ci: tuple[float, float] | None
-    mdr: float | None
-    mdr_ci: tuple[float, float] | None
+    far: float
+    far_ci: tuple[float, float]
+    mdr: float
+    mdr_ci: tuple[float, float]
     n_h0: int
     n_h1: int
 
@@ -147,37 +144,11 @@ def calibrate_threshold(model: flowmod.FlowModel, null: GammaNull, alpha: float,
 
 
 def calibrate(model: flowmod.FlowModel, null: GammaNull, config: DetectorConfig,
-              gen: np.random.Generator, n_train: int | None = None) -> FittedDetector:
+              gen: np.random.Generator) -> FittedDetector:
     """The detector of a fitted flow: its null and its Monte-Carlo threshold
     at ``config.alpha``, drawn from ``gen``."""
-    eta = calibrate_threshold(model, null, config.alpha, config.n_threshold, gen)
-    return FittedDetector(model, null, eta, n_train=n_train)
-
-
-def fit_flows(statistics: list[np.ndarray],
-              train_configs: list[flowmod.TrainConfig]) -> list[flowmod.FlowModel]:
-    """Fit one flow per array of statistics taken to be transmit-hypothesis
-    draws, all in one lockstep ``flow.train_many`` run; each flow keeps its
-    own seed and streams, so it does not depend on the others."""
-    return flowmod.train_many([_statistics(s) for s in statistics], train_configs)
-
-
-def fit_unsupervised(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
-                     train_config: flowmod.TrainConfig,
-                     gen: np.random.Generator) -> FittedDetector:
-    """Prefilter the unlabeled statistics, then fit on what is retained."""
-    return fit_supervised(prefilter(statistics, null, config.rho), null, config,
-                          train_config, gen)
-
-
-def fit_supervised(statistics: np.ndarray, null: GammaNull, config: DetectorConfig,
-                   train_config: flowmod.TrainConfig,
-                   gen: np.random.Generator) -> FittedDetector:
-    """Fit the flow on statistics taken to be transmit-hypothesis draws (the
-    one-element case of :func:`fit_flows`) and calibrate the threshold;
-    ``gen`` drives only the threshold Monte Carlo."""
-    model, = fit_flows([statistics], [train_config])
-    return calibrate(model, null, config, gen, n_train=len(statistics))
+    return FittedDetector(model, null, calibrate_threshold(model, null, config.alpha,
+                                                           config.n_threshold, gen))
 
 
 def llr(detector: FittedDetector, y: np.ndarray) -> np.ndarray:
@@ -195,13 +166,7 @@ def classify(detector: FittedDetector, y: np.ndarray) -> np.ndarray:
 def evaluate(detector: FittedDetector, batch: ObservationBatch) -> DetectionReport:
     """Empirical FAR/MDR with 95% Wilson intervals on a labeled evaluation batch."""
     n_h0, n_h1 = batch.h0.size, batch.h1.size
-    far = far_ci = mdr = mdr_ci = None
-    if n_h0:
-        k = int(classify(detector, batch.h0).sum())
-        far = k / n_h0
-        far_ci = binomial_ci(k, n_h0)
-    if n_h1:
-        k = int((~classify(detector, batch.h1)).sum())
-        mdr = k / n_h1
-        mdr_ci = binomial_ci(k, n_h1)
-    return DetectionReport(far, far_ci, mdr, mdr_ci, n_h0, n_h1)
+    k_h0 = int(classify(detector, batch.h0).sum())
+    k_h1 = int((~classify(detector, batch.h1)).sum())
+    return DetectionReport(k_h0 / n_h0, binomial_ci(k_h0, n_h0),
+                           k_h1 / n_h1, binomial_ci(k_h1, n_h1), n_h0, n_h1)

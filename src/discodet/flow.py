@@ -68,9 +68,9 @@ class TrainConfig:
     n_blocks: int = 5
 
     def __post_init__(self):
-        if not self.learning_rate > 0:       # NaN fails too
-            raise ValueError("learning rate must be positive")
-        for name in ("epochs", "batch_size", "n_blocks"):
+        if not 0 < self.learning_rate < math.inf:       # NaN fails too
+            raise ValueError("learning rate must be positive and finite")
+        for name in ("epochs", "batch_size", "n_blocks", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1:
@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.n_blocks < 1:
             raise ValueError("a flow needs at least one block")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def standardizer_fit(data: np.ndarray) -> tuple[float, float]:

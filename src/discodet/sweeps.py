@@ -65,10 +65,6 @@ class _FitDraw:
     dcfg: detector.DetectorConfig
     calib_gen: np.random.Generator
 
-    def calibrated(self, model: flow.FlowModel) -> detector.FittedDetector:
-        return detector.calibrate(model, self.null, self.dcfg, self.calib_gen,
-                                  n_train=len(self.statistics))
-
 
 def _draw_fit(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
               variant: str) -> _FitDraw:
@@ -192,7 +188,8 @@ def _score_point(point: _Point, models: list[flow.FlowModel], sweep_var: str,
     """Calibrate each fitted flow with its own generator, evaluate it on its
     scenario's batch, and build the point's row."""
     reports = {(fit.n_elements, fit.variant):
-               detector.evaluate(fit.calibrated(model), point.batches[fit.n_elements])
+               detector.evaluate(detector.calibrate(model, fit.null, fit.dcfg, fit.calib_gen),
+                                 point.batches[fit.n_elements])
                for fit, model in zip(point.fits, models)}
     n_d = point.fits[0].n_elements
     rep_unsup, rep_sup = reports[n_d, "unsup"], reports[n_d, "sup"]
@@ -226,8 +223,8 @@ def _run_points(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
         values = cfg[_SWEEP_LISTS[sweep_var]]
     points = [_draw_point(cfg, root, sweep_var, v) for v in values]
     fits = [fit for point in points for fit in point.fits]
-    models = iter(detector.fit_flows([fit.statistics for fit in fits],
-                                     [fit.train_config for fit in fits]))
+    models = iter(flow.train_many([fit.statistics for fit in fits],
+                                  [fit.train_config for fit in fits]))
     return [_score_point(point, [next(models) for _ in point.fits], sweep_var,
                          root.root_seed) for point in points]
 
@@ -278,16 +275,20 @@ class ValidationCheck:
     detail: str
 
 
-def autoregressive_check(model: flow.FlowModel, y: np.ndarray, step: float = 1e-6,
-                         tol: float = 1e-6) -> tuple[bool, float]:
+# central-difference steps and tolerances of the flow self-checks
+_AR_STEP, _AR_TOL = 1e-6, 1e-6
+_GRAD_STEP, _GRAD_REL_TOL, _GRAD_ABS_TOL = 1e-5, 1e-4, 1e-7
+
+
+def autoregressive_check(model: flow.FlowModel, y: np.ndarray) -> tuple[bool, float]:
     """The one-dimensional form of an autoregressive flow's triangular
     Jacobian: on the sorted probe points ``y`` the map z(y) is strictly
     increasing, and each logdet is log|dz/dy| by central differences
-    within ``tol``.  Returns (passed, worst logdet error)."""
+    within ``_AR_TOL``.  Returns (passed, worst logdet error)."""
     z, logdet = model.forward(y)
-    slope = (model.forward(y + step)[0] - model.forward(y - step)[0]) / (2 * step)
+    slope = (model.forward(y + _AR_STEP)[0] - model.forward(y - _AR_STEP)[0]) / (2 * _AR_STEP)
     worst = float(np.max(np.abs(np.log(np.abs(slope)) - logdet)))
-    return bool(np.all(np.diff(z) > 0)) and worst <= tol, worst
+    return bool(np.all(np.diff(z) > 0)) and worst <= _AR_TOL, worst
 
 
 def _flow_checks(root: statkit.SeedStream) -> list[ValidationCheck]:
@@ -381,8 +382,8 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     h0_stats = statkit.sample_gamma(gen_s, n_dcfg, noise, size=n_train - n_train // 2)
     mix = np.concatenate([h1_stats, h0_stats])
     mix = mix[root.child("validate/surrogate-shuffle").permutation(mix.size)]
-    det = detector.fit_unsupervised(mix, null, dcfg, sur_cfg,
-                                    root.child("validate/surrogate-calib"))
+    model = flow.train(detector.prefilter(mix, null, dcfg.rho), sur_cfg)
+    det = detector.calibrate(model, null, dcfg, root.child("validate/surrogate-calib"))
     n_eval = 50_000
     gen_e = root.child("validate/surrogate-eval")
     far = float(np.mean(detector.classify(
@@ -400,8 +401,7 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     return checks
 
 
-def _gradient_check(model: flow.FlowModel, batch: np.ndarray, step: float = 1e-5,
-                    rel_tol: float = 1e-4, abs_tol: float = 1e-7) -> tuple[bool, float]:
+def _gradient_check(model: flow.FlowModel, batch: np.ndarray) -> tuple[bool, float]:
     """Central-difference check of :func:`flow.grad_nll`, the training
     step's gradient on one model, on every entry of ``theta``."""
     flow.grad_nll(model, batch)
@@ -411,16 +411,16 @@ def _gradient_check(model: flow.FlowModel, batch: np.ndarray, step: float = 1e-5
     ok = True
     for i in range(theta.size):
         orig = theta[i]
-        theta[i] = orig + step
+        theta[i] = orig + _GRAD_STEP
         up = flow.nll(model, batch)
-        theta[i] = orig - step
+        theta[i] = orig - _GRAD_STEP
         down = flow.nll(model, batch)
         theta[i] = orig
-        fd = (up - down) / (2 * step)
+        fd = (up - down) / (2 * _GRAD_STEP)
         err = abs(fd - grad[i])
         denom = max(abs(fd), abs(grad[i]))
         score = err if denom < 1e-12 else err / max(denom, 1.0)
         worst = max(worst, score)
-        if err > abs_tol and (denom == 0 or err / denom > rel_tol):
+        if err > _GRAD_ABS_TOL and (denom == 0 or err / denom > _GRAD_REL_TOL):
             ok = False
     return ok, worst

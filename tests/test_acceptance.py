@@ -55,9 +55,9 @@ def surrogate_detector():
     null = theory.GammaNull(5, NOISE)
     dcfg = detector.DetectorConfig(alpha=0.05, rho=0.5, n_samples=5,
                                    n_threshold=1_000_000)
-    det = detector.fit_unsupervised(mix, null, dcfg,
-                                    flow.TrainConfig(seed=77, epochs=120),
-                                    stream.child("calibrate"))
+    model = flow.train(detector.prefilter(mix, null, dcfg.rho),
+                       flow.TrainConfig(seed=77, epochs=120))
+    det = detector.calibrate(model, null, dcfg, stream.child("calibrate"))
     return det, stream
 
 

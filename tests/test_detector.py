@@ -6,8 +6,8 @@ from scipy import stats
 
 from discodet import detector
 from discodet.detector import (DetectorConfig, FittedDetector, ObservationBatch,
-                               calibrate_threshold, classify, evaluate,
-                               fit_supervised, fit_unsupervised, llr, prefilter)
+                               calibrate, calibrate_threshold, classify, evaluate, llr,
+                               prefilter)
 from discodet.flow import FlowModel, TrainConfig, train
 from discodet.statkit import SeedStream, sample_gamma
 from discodet.theory import GammaNull
@@ -153,39 +153,13 @@ class TestFitting:
     def _tcfg(self, seed=31):
         return TrainConfig(seed=seed, epochs=8, batch_size=256)
 
-    @pytest.mark.parametrize("bad", BAD_STATISTICS, ids=["negative", "nan", "inf"])
-    def test_supervised_rejects_bad_statistics(self, bad):
-        with pytest.raises(ValueError, match="non-negative"):
-            fit_supervised(bad, GammaNull(5, NOISE), self._dcfg(), self._tcfg(),
-                           SeedStream(4).child("c"))
-
-    def test_unsupervised_is_supervised_on_prefiltered(self):
-        stream = SeedStream(4)
-        mix = surrogate_mix(stream, 4000)
-        null = GammaNull(5, NOISE)
-        d1 = fit_unsupervised(mix, null, self._dcfg(), self._tcfg(), stream.child("cal"))
-        d2 = fit_supervised(prefilter(mix, null, 0.5), null, self._dcfg(), self._tcfg(),
-                            stream.child("cal"))
-        assert d1.threshold == d2.threshold and d1.n_train == d2.n_train
-        y = np.linspace(NOISE, 30 * NOISE, 50)
-        np.testing.assert_array_equal(llr(d1, y), llr(d2, y))
-
     def test_fit_determinism(self):
         stream = SeedStream(4)
         batch = surrogate_mix(stream, 4000)
         null = GammaNull(5, NOISE)
-        d1 = fit_unsupervised(batch, null, self._dcfg(), self._tcfg(),
-                              stream.child("cal"))
-        d2 = fit_unsupervised(batch, null, self._dcfg(), self._tcfg(),
-                              stream.child("cal"))
+        d1, d2 = (calibrate(train(prefilter(batch, null, 0.5), self._tcfg()), null,
+                            self._dcfg(), stream.child("cal")) for _ in range(2))
         assert d1.threshold == d2.threshold
-
-    def test_metadata(self):
-        stream = SeedStream(4)
-        batch = surrogate_mix(stream, 4000)
-        det = fit_unsupervised(batch, GammaNull(5, NOISE), self._dcfg(),
-                               self._tcfg(), stream.child("cal"))
-        assert det.n_train == 2000     # rho = 0.5 of 4000
 
 
 class TestEvaluate:
@@ -208,8 +182,9 @@ class TestEvaluate:
         assert rep.n_h0 + rep.n_h1 == 2000
 
     def test_single_hypothesis_batch(self):
+        # every report has both rates, so a batch must carry both halves
         y = sample_gamma(SeedStream(5).child("h0"), 5, NOISE, size=100)
-        batch = ObservationBatch(y, np.empty(0))
-        rep = evaluate(self._trivial_detector(0.0), batch)
-        assert rep.mdr is None and rep.mdr_ci is None
-        assert rep.far is not None
+        with pytest.raises(ValueError, match="both H0 and H1"):
+            ObservationBatch(y, np.empty(0))
+        with pytest.raises(ValueError, match="both H0 and H1"):
+            ObservationBatch(np.empty(0), y)

@@ -313,15 +313,17 @@ class TestTraining:
             train(np.array([1.0, 2.0]), TrainConfig(epochs=1, batch_size=256))
 
     # unchecked, a negative batch size leaves the batch loop empty and train
-    # returns the untrained init without an error, and so does a NaN
-    # learning rate (its hold-out NLL never beats the first); n_blocks = -1
-    # fails inside numpy
+    # returns the untrained init without an error, and so does a NaN or an
+    # infinite learning rate (its hold-out NLL never beats the first);
+    # n_blocks = -1 fails inside numpy, and seed = -1 fails in training as
+    # a fault of the data
     @pytest.mark.parametrize("kwargs,match", [
         ({"batch_size": 0}, "batch size"), ({"batch_size": -5}, "batch size"),
         ({"n_blocks": 0}, "block"), ({"n_blocks": -1}, "block"),
         ({"learning_rate": math.nan}, "learning rate"),
+        ({"learning_rate": math.inf}, "learning rate"), ({"seed": -1}, "seed"),
     ], ids=["batch_size=0", "batch_size=-5", "n_blocks=0", "n_blocks=-1",
-            "learning_rate=nan"])
+            "learning_rate=nan", "learning_rate=inf", "seed=-1"])
     def test_sizes_must_be_positive(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kwargs)
@@ -329,8 +331,9 @@ class TestTraining:
     # unchecked, each builds and training dies in numpy with a TypeError
     @pytest.mark.parametrize("name,value", [
         ("epochs", 2.5), ("batch_size", math.nan), ("batch_size", 64.5), ("n_blocks", 2.5),
-        ("epochs", 3.0),
-    ], ids=["epochs=2.5", "batch_size=nan", "batch_size=64.5", "n_blocks=2.5", "epochs=3.0"])
+        ("epochs", 3.0), ("seed", 2.5), ("seed", math.nan),
+    ], ids=["epochs=2.5", "batch_size=nan", "batch_size=64.5", "n_blocks=2.5", "epochs=3.0",
+            "seed=2.5", "seed=nan"])
     def test_sizes_must_be_integers(self, name, value):
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):

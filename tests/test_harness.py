@@ -312,6 +312,20 @@ class TestCli:
         assert res.returncode == 2
         assert "config error" in res.stderr and "sweep.samples" in res.stderr
 
+    # the root seed must fit a 64-bit unsigned integer, from a file or a flag
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, source, seed):
+        if source == "file":
+            cfgfile = tmp_path / "seed.cfg"
+            cfgfile.write_text(f"seeds.root = {seed}\n")
+            args = ["--config", str(cfgfile)]
+        else:
+            args = ["--seed", str(seed)]
+        assert cli.main(["dump-config", *args]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seeds.root" in err
+
     def test_unknown_subcommand_exits_2(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
         assert res.returncode == 2

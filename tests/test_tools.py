@@ -1,6 +1,10 @@
-"""The scripts in tools/ run against the current package."""
+"""The scripts in tools/ and perfbench/ run against the current package."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +12,13 @@ import numpy as np
 from discodet import channel
 from discodet.config import parse_config_text
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
+PERFBENCH = ROOT / "perfbench"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, folder=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -47,3 +53,37 @@ def test_golden_channel_cases_run_the_kernel_they_name(monkeypatch):
         values = draw(np.random.default_rng(0), cfg)
         assert set(ran) == {f"_{label.split()[-1]}_cascade"}, label
         assert values.size and np.all(np.isfinite(values)), label
+
+
+# The benchmark's tracer wraps discodet's public functions and counts work
+# from their arguments by name, so a renamed argument, or a stage that no
+# sweep reaches any more, shows up as a missing counter.  Span -> the
+# counters its calls must carry:
+SPAN_COUNTERS = {
+    "detector.prefilter": ("offered", "kept"),
+    "detector.calibrate_threshold": ("draws",),
+    "detector.evaluate": ("rows",),
+    "channel.gen_willie_statistics": ("intervals",),
+    "flow.log_prob": ("rows",),
+}
+
+
+def test_traced_sweep_counts_every_stage(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(load_tool("golden_outputs").TINY_CONFIG, encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(PERFBENCH / "job.py"), "--config", str(cfg),
+         "--result", str(tmp_path / "result.json"), "--trace", str(trace), "--",
+         "sweep-power", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr[-2000:]
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert result["exit_code"] == 0, res.stderr[-2000:]
+    tracer = load_tool("tracer", PERFBENCH)
+    summary = tracer.summarize(tracer.load_spans(trace))
+    for span, counters in SPAN_COUNTERS.items():
+        assert summary.get(span, {}).get("calls", 0) > 0, span
+        for counter in counters:
+            assert summary[span].get(counter, 0) > 0, f"{span}.{counter}"
