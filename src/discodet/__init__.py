@@ -11,9 +11,8 @@ from .channel import (DrisProfile, Geometry, LinkFading, PathLoss, Scenario,
                       gen_willie_statistics, path_loss_linear)
 from .config import (DEFAULT_CONFIG, ConfigError, ScenarioConfig, dump_config,
                      parse_config, parse_config_text)
-from .detector import (DetectionReport, DetectorConfig, FittedDetector,
-                       ObservationBatch, calibrate, classify, evaluate, llr,
-                       prefilter)
+from .detector import (DetectionReport, FittedDetector, ObservationBatch,
+                       calibrate, classify, evaluate, llr, prefilter)
 from .flow import FlowModel, TrainConfig, load_flow, save_flow, train
 from .statkit import SeedStream, binomial_ci, empirical_quantile, sample_gamma
 from .sweeps import SweepResult, emit_csv, run_sweep, run_validation
@@ -29,7 +28,7 @@ __all__ = [
     "path_loss_linear",
     "DEFAULT_CONFIG", "ConfigError", "ScenarioConfig", "dump_config",
     "parse_config", "parse_config_text",
-    "DetectionReport", "DetectorConfig", "FittedDetector", "ObservationBatch",
+    "DetectionReport", "FittedDetector", "ObservationBatch",
     "calibrate", "classify", "evaluate", "llr", "prefilter",
     "FlowModel", "TrainConfig", "load_flow", "save_flow", "train",
     "SeedStream", "binomial_ci", "empirical_quantile", "sample_gamma",

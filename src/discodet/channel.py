@@ -81,6 +81,11 @@ class Geometry:
             raise ValueError("element count must be non-negative")
         if not 0 <= self.bob_inner <= self.bob_outer:
             raise ValueError("annulus radii must satisfy 0 <= inner <= outer")
+        # every link the simulation takes a path loss over needs a positive length
+        for a, b in (("alice", "willie"), ("alice", "dris_center"), ("dris_center", "willie"),
+                     ("alice", "bob_center"), ("dris_center", "bob_center")):
+            if not self.distance(getattr(self, a), getattr(self, b)) > 0:
+                raise ValueError(f"{a} and {b} positions coincide")
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))

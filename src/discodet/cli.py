@@ -91,9 +91,11 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     seeds = SeedStream(cfg["seeds.root"]).derive("cli-train")
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
-    fit = sweeps._draw_fit(cfg, seeds, scen, cfg.detector_config(), "unsup")
+    null = theory.GammaNull(cfg["detector.n_samples"], scen.fading.noise_w)
+    fit = sweeps._draw_fit(cfg, seeds, scen, null, "unsup")
     model = flow.train(fit.statistics, fit.train_config)
-    det = detector.calibrate(model, fit.null, fit.dcfg, fit.calib_gen)
+    det = detector.calibrate(model, null, cfg["detector.alpha"], cfg["detector.n_threshold"],
+                             fit.calib_gen)
     flow.save_flow(model, args.out)
     print(f"saved model to {args.out} "
           f"(threshold {det.threshold:.6g}, trained on {len(fit.statistics)} samples)")
@@ -104,14 +106,15 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     model = flow.load_flow(args.model)
     seeds = SeedStream(cfg["seeds.root"]).derive("cli-eval")
-    dcfg = cfg.detector_config()
+    alpha, n_samples = cfg["detector.alpha"], cfg["detector.n_samples"]
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
-    null = theory.GammaNull(dcfg.n_samples, scen.fading.noise_w)
-    det = detector.calibrate(model, null, dcfg, seeds.child("calibrate"))
-    rep = detector.evaluate(det, sweeps._eval_batch(cfg, seeds, scen, dcfg.n_samples))
+    null = theory.GammaNull(n_samples, scen.fading.noise_w)
+    det = detector.calibrate(model, null, alpha, cfg["detector.n_threshold"],
+                             seeds.child("calibrate"))
+    rep = detector.evaluate(det, sweeps._eval_batch(cfg, seeds, scen, n_samples))
     eta = det.threshold
     print(f"threshold = {eta:.6g}")
-    print(f"FAR = {rep.far:.4f} (target {dcfg.alpha}, "
+    print(f"FAR = {rep.far:.4f} (target {alpha}, "
           f"95% CI [{rep.far_ci[0]:.4f}, {rep.far_ci[1]:.4f}])")
     print(f"MDR = {rep.mdr:.4f} (95% CI [{rep.mdr_ci[0]:.4f}, {rep.mdr_ci[1]:.4f}])")
     if args.out:
@@ -121,7 +124,7 @@ def _cmd_eval(args) -> int:
                      f"{rep.mdr:.9g},{rep.mdr_ci[0]:.9g},{rep.mdr_ci[1]:.9g}\n")
     # the FAR must sit inside a generous band around the target
     lo, hi = rep.far_ci
-    return 0 if lo <= dcfg.alpha * 2 and hi >= dcfg.alpha / 2 else 1
+    return 0 if lo <= alpha * 2 and hi >= alpha / 2 else 1
 
 
 def _cmd_dump_config(args) -> int:

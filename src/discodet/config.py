@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .channel import (DrisProfile, Geometry, LinkFading, PathLoss, Scenario,
                       dbm_to_watts)
-from .detector import DetectorConfig
 from .flow import TrainConfig
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "parse_config_text",
@@ -126,6 +125,10 @@ class ScenarioConfig:
         for key in ("flow.learning_rate", "fading.bandwidth_hz"):
             if not v[key] > 0:
                 raise ConfigError(f"{key} must be positive")
+        for key in ("geometry.alice", "geometry.willie", "geometry.dris_center",
+                    "geometry.bob_center"):
+            if len(v[key]) != 3:
+                raise ConfigError(f"{key} must be a 3-D coordinate")
         for name, build in (("dris profile", self.profile), ("fading", self.fading),
                             ("geometry", self.geometry)):
             try:
@@ -149,10 +152,6 @@ class ScenarioConfig:
         for key, choices in _CHOICES.items():
             if v[key] not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
-        for key in ("geometry.alice", "geometry.willie", "geometry.dris_center",
-                    "geometry.bob_center"):
-            if len(v[key]) != 3:
-                raise ConfigError(f"{key} must be a 3-D coordinate")
 
     # -- builders ------------------------------------------------------------
 
@@ -205,15 +204,6 @@ class ScenarioConfig:
             p0_watts=dbm_to_watts(p0_dbm),
             m_symbols=self["detector.m_symbols"],
             bob_position=bob_position,
-        )
-
-    def detector_config(self, n_samples: int | None = None) -> DetectorConfig:
-        return DetectorConfig(
-            alpha=self["detector.alpha"],
-            rho=self["detector.rho"],
-            n_samples=self["detector.n_samples"] if n_samples is None else n_samples,
-            n_threshold=self["detector.n_threshold"],
-            mixture_h1=self["detector.mixture_h1"],
         )
 
     def train_config(self, seed: int) -> TrainConfig:

@@ -23,7 +23,6 @@ from .theory import GammaNull, gamma_h0_logpdf
 
 __all__ = [
     "ObservationBatch",
-    "DetectorConfig",
     "FittedDetector",
     "DetectionReport",
     "prefilter",
@@ -60,25 +59,6 @@ def _statistics(y) -> np.ndarray:
     if not np.all((arr >= 0) & (arr < np.inf)):      # NaN fails both
         raise ValueError("power statistics must be finite and non-negative")
     return arr
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Operating point and calibration knobs of the detector."""
-
-    alpha: float = 0.05          # target false alarm rate
-    rho: float = 0.5             # prefilter discard proportion
-    n_samples: int = 5           # samples accumulated per statistic (N)
-    n_threshold: int = 1_000_000  # Monte-Carlo draws for threshold calibration
-    mixture_h1: float = 0.5      # H1 fraction of the unlabeled training stream
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-        if self.n_threshold < 1:
-            raise ValueError("n_threshold must be >= 1")
 
 
 @dataclass
@@ -143,12 +123,11 @@ def calibrate_threshold(model: flowmod.FlowModel, null: GammaNull, alpha: float,
     return empirical_quantile(values, 1.0 - alpha)
 
 
-def calibrate(model: flowmod.FlowModel, null: GammaNull, config: DetectorConfig,
+def calibrate(model: flowmod.FlowModel, null: GammaNull, alpha: float, n_mc: int,
               gen: np.random.Generator) -> FittedDetector:
-    """The detector of a fitted flow: its null and its Monte-Carlo threshold
-    at ``config.alpha``, drawn from ``gen``."""
-    return FittedDetector(model, null, calibrate_threshold(model, null, config.alpha,
-                                                           config.n_threshold, gen))
+    """The detector of a fitted flow: its null and its threshold at false-alarm
+    rate ``alpha``, from ``n_mc`` null draws of ``gen``."""
+    return FittedDetector(model, null, calibrate_threshold(model, null, alpha, n_mc, gen))
 
 
 def llr(detector: FittedDetector, y: np.ndarray) -> np.ndarray:

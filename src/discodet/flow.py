@@ -547,9 +547,14 @@ def load_flow(path) -> FlowModel:
         if n_blocks < 1:
             raise ValueError(f"{path}: a flow needs at least one block")
         mu_std, sigma_std = struct.unpack("<2d", read(16, "standardizer"))
+        if not (math.isfinite(mu_std) and 0 < sigma_std < math.inf):
+            raise ValueError(f"{path}: corrupt standardizer (mean {mu_std}, "
+                             f"deviation {sigma_std})")
         raw = read(8 * FlowModel.n_params(n_blocks), "parameter data")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     model = FlowModel(n_blocks, mu_std, sigma_std)
     model.theta[:] = np.frombuffer(raw, dtype="<f8")
+    if not np.all(np.isfinite(model.theta)):
+        raise ValueError(f"{path}: non-finite parameter values")
     return model

@@ -55,45 +55,44 @@ def _db(x: float) -> float:
 @dataclass
 class _FitDraw:
     """One drawn detector fit: the flow's training statistics and seed, and
-    what calibrates its threshold."""
+    the generator that calibrates its threshold."""
 
     n_elements: int
     variant: str
     statistics: np.ndarray
     train_config: flow.TrainConfig
-    null: theory.GammaNull
-    dcfg: detector.DetectorConfig
     calib_gen: np.random.Generator
 
 
-def _draw_fit(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario, dcfg,
-              variant: str) -> _FitDraw:
-    """Draw one detector variant's training statistics on ``scenario`` (the
-    sweeps and the CLI ``train`` command share this path).
+def _draw_fit(cfg: ScenarioConfig, seeds: statkit.SeedStream, scenario,
+              null: theory.GammaNull, variant: str) -> _FitDraw:
+    """Draw one detector variant's training statistics on ``scenario``, N of
+    them accumulated per statistic where N is ``null.shape`` (the sweeps and
+    the CLI ``train`` command share this path).
 
     ``variant`` is "unsup" (the prefiltered unlabeled mixture) or "sup"
     (transmit-hypothesis statistics); the no-surface baseline is the
     unsupervised variant drawn on a zero-element scenario (same code, same
     seed labels), which makes the N_D = 0 sweep row bit-identical to it.
     """
-    null = theory.GammaNull(dcfg.n_samples, scenario.fading.noise_w)
+    n_samples = null.shape
     t_total = cfg["detector.train_size"]
     if variant == "unsup":
-        n_h1 = int(round(dcfg.mixture_h1 * t_total))
+        n_h1 = int(round(cfg["detector.mixture_h1"] * t_total))
         h1 = channel.gen_willie_statistics(seeds.child("train-data/unsup/h1"),
-                                           scenario, "H1", n_h1, dcfg.n_samples)
+                                           scenario, "H1", n_h1, n_samples)
         h0 = channel.gen_willie_statistics(seeds.child("train-data/unsup/h0"),
-                                           scenario, "H0", t_total - n_h1, dcfg.n_samples)
+                                           scenario, "H0", t_total - n_h1, n_samples)
         mix = np.concatenate([h1, h0])
         mix = mix[seeds.child("train-data/unsup/shuffle").permutation(mix.size)]
-        statistics = detector.prefilter(mix, null, dcfg.rho)
+        statistics = detector.prefilter(mix, null, cfg["detector.rho"])
     elif variant == "sup":
         statistics = channel.gen_willie_statistics(seeds.child("train-data/sup/h1"),
-                                                   scenario, "H1", t_total, dcfg.n_samples)
+                                                   scenario, "H1", t_total, n_samples)
     else:
         raise ValueError(f"unknown detector variant {variant!r}")
     tcfg = cfg.train_config(seed=seeds.derive(f"train-init/{variant}").root_seed)
-    return _FitDraw(scenario.geometry.n_elements, variant, statistics, tcfg, null, dcfg,
+    return _FitDraw(scenario.geometry.n_elements, variant, statistics, tcfg,
                     seeds.child(f"calibrate/{variant}"))
 
 
@@ -144,11 +143,11 @@ _SWEEP_LISTS = {"p0_dbm": "sweep.powers_dbm", "n_elements": "sweep.elements",
 
 @dataclass
 class _Point:
-    """A sweep point's draws: its fits, its evaluation batches by element
-    count, and its (simulated, theoretical) SJNR."""
+    """A sweep point's draws: the null of its N, its fits, its evaluation
+    batches by element count, and its (simulated, theoretical) SJNR."""
 
     sweep_value: float
-    dcfg: detector.DetectorConfig
+    null: theory.GammaNull
     fits: list[_FitDraw]
     batches: dict[int, detector.ObservationBatch]
     sjnr: tuple[float, float]
@@ -166,8 +165,8 @@ def _draw_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
     setting[sweep_var] = sweep_value
     p0_dbm, n_elements, n_samples = setting.values()
     seeds = root.derive(f"point/{sweep_var}/{sweep_value!r}")
-    dcfg = cfg.detector_config(n_samples=n_samples)
     scen = cfg.scenario(p0_dbm, n_elements=n_elements)
+    null = theory.GammaNull(n_samples, scen.fading.noise_w)
     eval_h0 = _eval_h0(cfg, seeds, scen, n_samples)
     plan = [(scen, ("unsup", "sup"))]
     if scen.geometry.n_elements > 0:   # with no surface, the baseline is the unsup fit
@@ -177,18 +176,19 @@ def _draw_point(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
         # seed labels keyed by the element count: a 0-element point is the baseline
         n_d = scenario.geometry.n_elements
         batches[n_d] = _eval_batch(cfg, seeds, scenario, n_samples, eval_h0)
-        fits += [_draw_fit(cfg, seeds.derive(f"fit/{n_d}"), scenario, dcfg, v)
+        fits += [_draw_fit(cfg, seeds.derive(f"fit/{n_d}"), scenario, null, v)
                  for v in variants]
-    return _Point(sweep_value, dcfg, fits, batches,
+    return _Point(sweep_value, null, fits, batches,
                   _sjnr_pair(cfg, seeds, p0_dbm, n_elements))
 
 
-def _score_point(point: _Point, models: list[flow.FlowModel], sweep_var: str,
-                 seed: int) -> SweepResult:
+def _score_point(cfg: ScenarioConfig, point: _Point, models: list[flow.FlowModel],
+                 sweep_var: str, seed: int) -> SweepResult:
     """Calibrate each fitted flow with its own generator, evaluate it on its
     scenario's batch, and build the point's row."""
+    alpha, n_mc = cfg["detector.alpha"], cfg["detector.n_threshold"]
     reports = {(fit.n_elements, fit.variant):
-               detector.evaluate(detector.calibrate(model, fit.null, fit.dcfg, fit.calib_gen),
+               detector.evaluate(detector.calibrate(model, point.null, alpha, n_mc, fit.calib_gen),
                                  point.batches[fit.n_elements])
                for fit, model in zip(point.fits, models)}
     n_d = point.fits[0].n_elements
@@ -203,7 +203,7 @@ def _score_point(point: _Point, models: list[flow.FlowModel], sweep_var: str,
         mdr_sup=rep_sup.mdr, mdr_sup_lo=rep_sup.mdr_ci[0], mdr_sup_hi=rep_sup.mdr_ci[1],
         mdr_no_dris=rep_nodris.mdr, mdr_no_dris_lo=rep_nodris.mdr_ci[0],
         mdr_no_dris_hi=rep_nodris.mdr_ci[1],
-        far_target=point.dcfg.alpha,
+        far_target=alpha,
         far_empirical=rep_unsup.far,
         sjnr_sim_db=sjnr_sim,
         sjnr_theory_db=sjnr_th,
@@ -225,7 +225,7 @@ def _run_points(cfg: ScenarioConfig, root: statkit.SeedStream, sweep_var: str,
     fits = [fit for point in points for fit in point.fits]
     models = iter(flow.train_many([fit.statistics for fit in fits],
                                   [fit.train_config for fit in fits]))
-    return [_score_point(point, [next(models) for _ in point.fits], sweep_var,
+    return [_score_point(cfg, point, [next(models) for _ in point.fits], sweep_var,
                          root.root_seed) for point in points]
 
 
@@ -353,14 +353,14 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
 
     # exactness of the Gamma null via Kolmogorov-Smirnov over 10 seeds
     n_stats = 100_000
-    n_dcfg = cfg["detector.n_samples"]
-    null = theory.GammaNull(n_dcfg, noise)
+    n_samples = cfg["detector.n_samples"]
+    null = theory.GammaNull(n_samples, noise)
     scen = cfg.scenario(cfg["sweep.fixed_p0_dbm"])
     ranks = np.arange(n_stats + 1.0) / n_stats
     passes = 0
     for i in range(10):
         y = channel.gen_willie_statistics(root.child("validate/ks", i), scen,
-                                          "H0", n_stats, n_dcfg)
+                                          "H0", n_stats, n_samples)
         cdf = theory.gamma_cdf(null, np.sort(y))
         stat = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
         crit = 1.628 / math.sqrt(n_stats)   # 1% significance, large n
@@ -373,29 +373,28 @@ def run_validation(cfg: ScenarioConfig) -> list[ValidationCheck]:
     # FAR calibration and the tractable-surrogate comparison
     sur_cfg = flow.TrainConfig(seed=root.derive("validate/sur-seed").root_seed,
                                epochs=120)
-    dcfg = detector.DetectorConfig(alpha=0.05, rho=cfg["detector.rho"],
-                                   n_samples=n_dcfg,
-                                   n_threshold=400_000)
+    alpha = 0.05
     n_train = 20_000
     gen_s = root.child("validate/surrogate")
-    h1_stats = statkit.sample_gamma(gen_s, n_dcfg, 2 * noise, size=n_train // 2)
-    h0_stats = statkit.sample_gamma(gen_s, n_dcfg, noise, size=n_train - n_train // 2)
+    h1_stats = statkit.sample_gamma(gen_s, n_samples, 2 * noise, size=n_train // 2)
+    h0_stats = statkit.sample_gamma(gen_s, n_samples, noise, size=n_train - n_train // 2)
     mix = np.concatenate([h1_stats, h0_stats])
     mix = mix[root.child("validate/surrogate-shuffle").permutation(mix.size)]
-    model = flow.train(detector.prefilter(mix, null, dcfg.rho), sur_cfg)
-    det = detector.calibrate(model, null, dcfg, root.child("validate/surrogate-calib"))
+    model = flow.train(detector.prefilter(mix, null, cfg["detector.rho"]), sur_cfg)
+    det = detector.calibrate(model, null, alpha, 400_000,
+                             root.child("validate/surrogate-calib"))
     n_eval = 50_000
     gen_e = root.child("validate/surrogate-eval")
     far = float(np.mean(detector.classify(
-        det, statkit.sample_gamma(gen_e, n_dcfg, noise, size=n_eval))))
-    lo, hi = statkit.binomial_ci(int(round(dcfg.alpha * n_eval)), n_eval, 0.99)
+        det, statkit.sample_gamma(gen_e, n_samples, noise, size=n_eval))))
+    lo, hi = statkit.binomial_ci(int(round(alpha * n_eval)), n_eval, 0.99)
     checks.append(ValidationCheck("far_calibration", lo <= far <= hi,
-                                  f"empirical FAR {far:.4f} vs target {dcfg.alpha}"))
+                                  f"empirical FAR {far:.4f} vs target {alpha}"))
 
-    h1_eval = statkit.sample_gamma(gen_e, n_dcfg, 2 * noise, size=n_eval)
+    h1_eval = statkit.sample_gamma(gen_e, n_samples, 2 * noise, size=n_eval)
     mdr = float(np.mean(~detector.classify(det, h1_eval)))
-    y_crit = theory.radiometer_threshold(null, dcfg.alpha)
-    mdr_opt = float(theory.gamma_cdf(theory.GammaNull(n_dcfg, 2 * noise), y_crit))
+    y_crit = theory.radiometer_threshold(null, alpha)
+    mdr_opt = float(theory.gamma_cdf(theory.GammaNull(n_samples, 2 * noise), y_crit))
     checks.append(ValidationCheck("surrogate_np_oracle", mdr <= mdr_opt + 0.05,
                                   f"pipeline MDR {mdr:.4f} vs analytic optimum {mdr_opt:.4f}"))
     return checks

@@ -53,11 +53,9 @@ def surrogate_detector():
     mix = np.concatenate([h1, h0])
     mix = mix[stream.child("shuffle").permutation(mix.size)]
     null = theory.GammaNull(5, NOISE)
-    dcfg = detector.DetectorConfig(alpha=0.05, rho=0.5, n_samples=5,
-                                   n_threshold=1_000_000)
-    model = flow.train(detector.prefilter(mix, null, dcfg.rho),
+    model = flow.train(detector.prefilter(mix, null, 0.5),
                        flow.TrainConfig(seed=77, epochs=120))
-    det = detector.calibrate(model, null, dcfg, stream.child("calibrate"))
+    det = detector.calibrate(model, null, 0.05, 1_000_000, stream.child("calibrate"))
     return det, stream
 
 

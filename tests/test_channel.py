@@ -41,6 +41,14 @@ class TestGeometry:
         assert geo.distance(geo.dris_center, geo.willie) == pytest.approx(
             math.sqrt(1.5**2 + 100.0**2 + 5.0**2))
 
+    @pytest.mark.parametrize("a,b", [("alice", "willie"), ("alice", "dris_center"),
+                                     ("dris_center", "willie"), ("alice", "bob_center"),
+                                     ("dris_center", "bob_center")])
+    def test_coincident_positions_rejected(self, a, b):
+        geo = small_geometry()
+        with pytest.raises(ValueError, match=f"{a} and {b} positions coincide"):
+            dataclasses.replace(geo, **{b: getattr(geo, a)})
+
     def test_bad_annulus(self):
         with pytest.raises(ValueError):
             Geometry((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0),

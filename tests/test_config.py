@@ -79,6 +79,18 @@ class TestParsing:
         ("sweep.samples = 1, 25", "sweep.samples"),
         ("sweep.samples = 0, 5", "sweep.samples"),
         ("sweep.elements = 0, -4", "sweep.elements"),
+        ("detector.alpha = 0", "detector.alpha"),
+        ("detector.alpha = 1", "detector.alpha"),
+        ("detector.rho = 0", "detector.rho"),
+        ("detector.rho = 1", "detector.rho"),
+        ("geometry.alice = 0, 0", "geometry.alice must be a 3-D coordinate"),
+        # Alice sits at (0, 0, 5) by default
+        ("geometry.dris_center = 0, 0, 5", "geometry: alice and dris_center positions"),
+        ("geometry.willie = 0, 0, 5", "geometry: alice and willie positions"),
+        ("geometry.bob_center = 0, 0, 5", "geometry: alice and bob_center positions"),
+        ("geometry.willie = -1.5, 0, 5", "geometry: dris_center and willie positions"),
+        ("geometry.bob_center = -1.5, 0, 5",
+         "geometry: dris_center and bob_center positions"),
     ])
     def test_bad_profile_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):

@@ -5,9 +5,8 @@ import pytest
 from scipy import stats
 
 from discodet import detector
-from discodet.detector import (DetectorConfig, FittedDetector, ObservationBatch,
-                               calibrate, calibrate_threshold, classify, evaluate, llr,
-                               prefilter)
+from discodet.detector import (FittedDetector, ObservationBatch, calibrate,
+                               calibrate_threshold, classify, evaluate, llr, prefilter)
 from discodet.flow import FlowModel, TrainConfig, train
 from discodet.statkit import SeedStream, sample_gamma
 from discodet.theory import GammaNull
@@ -147,9 +146,6 @@ class TestThresholdAndClassify:
 
 
 class TestFitting:
-    def _dcfg(self):
-        return DetectorConfig(alpha=0.05, rho=0.5, n_samples=5, n_threshold=20_000)
-
     def _tcfg(self, seed=31):
         return TrainConfig(seed=seed, epochs=8, batch_size=256)
 
@@ -158,7 +154,7 @@ class TestFitting:
         batch = surrogate_mix(stream, 4000)
         null = GammaNull(5, NOISE)
         d1, d2 = (calibrate(train(prefilter(batch, null, 0.5), self._tcfg()), null,
-                            self._dcfg(), stream.child("cal")) for _ in range(2))
+                            0.05, 20_000, stream.child("cal")) for _ in range(2))
         assert d1.threshold == d2.threshold
 
 

@@ -506,6 +506,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_flow(path)
 
+    # values that no training writes: rejected, naming the file, before
+    # any statistic is scored
+    @pytest.mark.parametrize("mu,sigma", [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan),
+                                          (0.0, math.inf), (math.inf, 1.0),
+                                          (-math.inf, 1.0), (math.nan, 1.0)],
+                             ids=["sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf",
+                                  "mu-inf", "mu-neg-inf", "mu-nan"])
+    def test_bad_standardizer_rejected(self, tmp_path, mu, sigma):
+        model = perturbed_model()
+        path = tmp_path / "model.flow"
+        path.write_bytes(b"DSCFLOW2" + struct.pack("<I2d", len(model.blocks), mu, sigma)
+                         + model.theta.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: corrupt standardizer")):
+            load_flow(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, tmp_path, value):
+        model = perturbed_model()
+        model.theta[5] = value
+        path = tmp_path / "model.flow"
+        save_flow(model, path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite parameter")):
+            load_flow(path)
+
     def test_file_bytes_unchanged(self, tmp_path):
         # the header is the magic and the block count; the rest is byte for
         # byte what the DSCFLOW1 layout wrote after its 17-byte header

@@ -305,6 +305,16 @@ class TestCli:
         assert res.returncode == 2
         assert "config error" in res.stderr and "geometry.bob_inner" in res.stderr
 
+    # Alice sits at (0, 0, 5) by default: a node there has no path loss to her
+    @pytest.mark.parametrize("line", ["geometry.dris_center = 0, 0, 5",
+                                      "geometry.willie = 0, 0, 5"])
+    def test_coincident_positions_exit_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        assert cli.main(["dump-config", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "positions coincide" in err
+
     def test_bad_sweep_samples_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG.replace("sweep.samples = 1, 5", "sweep.samples = 1, 25"))
@@ -370,6 +380,18 @@ class TestCli:
                       tmp_path)
         assert res.returncode == 0, res.stderr
         assert "FAR" in res.stdout and "MDR" in res.stdout
+
+    def test_eval_rejects_corrupt_standardizer(self, tmp_path, capsys):
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CONFIG)
+        model = tmp_path / "bad.flow"
+        # five identity blocks behind a standardizer of deviation 0
+        model.write_bytes(b"DSCFLOW2" + struct.pack("<I2d", 5, 0.0, 0.0)
+                          + np.zeros(20).astype("<f8").tobytes())
+        assert cli.main(["eval", "--config", str(cfgfile), "--model", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {model}: corrupt standardizer" in captured.err
+        assert captured.out == ""
 
     def test_eval_rejects_multidimensional_model(self, tmp_path):
         cfgfile = tmp_path / "tiny.cfg"

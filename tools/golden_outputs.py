@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python3 tools/golden_outputs.py OUTDIR
 
-Runs the three sweeps, the ``train`` command and the ``validate``
+Runs the three sweeps, the ``train`` command, ``eval`` of the model it
+trained (``--model OUTDIR/detector.flow``) and the ``validate``
 self-check suite on a tiny configuration with a fixed seed and writes
 ``sweep_power.csv``, ``sweep_elements.csv``, ``sweep_samples.csv``,
-``detector.flow`` and ``validate.txt`` (the suite's report) to OUTDIR,
+``detector.flow``, ``eval.csv`` (the threshold and the error rates with
+their intervals) and ``validate.txt`` (the suite's report) to OUTDIR,
 and fixed-seed draws of the channel generators to ``channel.txt``.
 Run it on two checkouts (each with its own ``src`` on PYTHONPATH) and
 compare; ``diff`` prints nothing when every file is byte-identical:
@@ -62,7 +64,7 @@ seeds.root = 777
 
 OUTPUTS = {"sweep-power": "sweep_power.csv", "sweep-elements": "sweep_elements.csv",
            "sweep-samples": "sweep_samples.csv", "train": "detector.flow",
-           "validate": "validate.txt"}
+           "eval": "eval.csv", "validate": "validate.txt"}
 
 # label -> draws from a fresh stream of that label, for a config
 CHANNEL_CASES = {
@@ -98,7 +100,9 @@ def main(argv: list[str]) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # the tiny n_threshold warns
         for command, name in OUTPUTS.items():
-            code = cli.main([command, "--config", str(cfg_path), "--out", str(out / name)])
+            model = ["--model", str(out / OUTPUTS["train"])] if command == "eval" else []
+            code = cli.main([command, "--config", str(cfg_path), "--out", str(out / name),
+                             *model])
             if code != 0:
                 print(f"{command} exited {code}", file=sys.stderr)
                 return code
